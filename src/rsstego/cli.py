@@ -41,12 +41,6 @@ _MODE_FLAGS = {
 }
 
 
-def _make_params(m: int, n: int, k: int) -> CodeParams:
-    if n != (1 << m) - 1:
-        raise DegenerateParamsError(f"n must be 2^m - 1 = {(1 << m) - 1}, got {n}")
-    return CodeParams(field=GF2m(m), n=n, k=k)
-
-
 def _add_code_flags(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int, default=5, help="symbol width in bits")
     p.add_argument("--n", type=int, default=31, help="codeword length (2^m - 1)")
@@ -94,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
 # embed / extract
 # ----------------------------------------------------------------------
 def cmd_embed(args) -> int:
-    params = _make_params(args.m, args.n, args.k)
+    params = CodeParams(field=GF2m(args.m), n=args.n, k=args.k)
     m, k, c = args.m, args.k, args.stego
     data_bytes = Path(args.data).read_bytes()
     msg_bytes = Path(args.message).read_bytes()
@@ -125,7 +119,7 @@ def cmd_embed(args) -> int:
 
 def cmd_extract(args) -> int:
     cont = unpack_container(Path(args.container).read_bytes())
-    params = _make_params(cont.m, cont.n, cont.k)
+    params = CodeParams(field=GF2m(cont.m), n=cont.n, k=cont.k)
     c = args.stego
     seed = cont.seed if args.seed is None else args.seed
 
@@ -164,7 +158,7 @@ def cmd_extract(args) -> int:
 # ----------------------------------------------------------------------
 def cmd_simulate(args) -> int:
     config = ExperimentConfig(
-        params=_make_params(args.m, args.n, args.k),
+        params=CodeParams(field=GF2m(args.m), n=args.n, k=args.k),
         stego_count=args.stego,
         channel=ChannelSpec(mode=_MODE_FLAGS[args.mode], burst_bits=args.burst_bits),
         trials=args.trials,
@@ -200,7 +194,7 @@ def cmd_selftest(args) -> int:
                 ok = False
     checks.append(("RS(7,3) corrects every single error", ok))
 
-    p31 = _make_params(5, 31, 19)
+    p31 = CodeParams(field=GF2m(5), n=31, k=19)
     data = list(range(19))
     key = derive_positions(p31, 7, 2)
     got = extract(embed(encode(p31, data), key, [9, 20]), key, p31)

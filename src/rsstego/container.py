@@ -53,6 +53,7 @@ def pack_symbols(symbols, m: int) -> bytes:
         while nbits >= 8:
             nbits -= 8
             out.append((acc >> nbits) & 0xFF)
+            acc &= (1 << nbits) - 1   # keep only unwritten bits: linear time
     if nbits:
         out.append((acc << (8 - nbits)) & 0xFF)
     return bytes(out)
@@ -68,7 +69,8 @@ def unpack_symbols(data: bytes, m: int) -> list[int]:
         nbits += 8
         while nbits >= m:
             nbits -= m
-            out.append((acc >> nbits) & ((1 << m) - 1))
+            out.append(acc >> nbits)
+            acc &= (1 << nbits) - 1
     return out
 
 
@@ -76,9 +78,8 @@ def bytes_to_symbols(data: bytes, m: int) -> list[int]:
     """Bytes -> ceil(len*8/m) symbols, the last one zero-padded."""
     total_bits = len(data) * 8
     count = (total_bits + m - 1) // m
-    pad_bits = count * m - total_bits
-    acc = int.from_bytes(data, "big") << pad_bits
-    return [(acc >> (m * (count - 1 - i))) & ((1 << m) - 1) for i in range(count)]
+    pad_bytes = (count * m - total_bits + 7) // 8
+    return unpack_symbols(bytes(data) + bytes(pad_bytes), m)[:count]
 
 
 def symbols_to_bytes(symbols, m: int, byte_len: int | None = None) -> bytes:

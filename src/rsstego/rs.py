@@ -13,9 +13,33 @@ Encoding is parity = data x A for a k x (n-k) Cauchy matrix
 
 where x_i = alpha^(n-1-i) and y_j = alpha^(n-1-k-j) are the evaluation
 points of the data and parity positions, and u_i, v_j are the Lagrange
-normalization products.  Equivalently the codeword is the evaluation of the
-unique degree < k polynomial through the data points, so every codeword has
-roots alpha^1 .. alpha^(n-k) and zero syndromes.
+normalization products
+
+    u_i = 1 / prod_{l != i} (x_i + x_l),    v_j = prod_l (y_j + x_l).
+
+Equivalently the codeword is the evaluation of the unique degree < k
+polynomial through the data points, so every codeword has roots
+alpha^1 .. alpha^(n-k) and zero syndromes.  The data and parity points
+together are all of GF(2^m)*, so prod_{z != 0} (X + z) = X^n + 1.  Its
+derivative at x_i is the product over the other points,
+prod_{z != 0, x_i} (x_i + z), and equals n * x_i^(n-1) = 1 / x_i because
+n is odd.  Hence
+
+    u_i = x_i * prod_j (x_i + y_j),
+
+which costs n-k products instead of k-1, and ``build_cauchy`` runs in
+O(k(n-k)) like the matrix itself (the standard Cauchy-RS normalisation;
+Bloemer et al. 1995, Plank & Xu 2006).
+
+Multiplying by a constant is GF(2)-linear, so the encoder never multiplies
+symbols.  For each matrix row the generator keeps lookup tables of packed
+parity vectors, one 8-bit lane per parity symbol (16-bit when m > 8): the
+entry for a chunk of data bits is that chunk times the whole row.  A data
+symbol contributes one table entry per chunk of its bits, and a codeword's
+parity is the XOR of those k * ceil(m / chunk) big ints, split back into
+lanes by one ``int.to_bytes``.  The tables are derived from the matrix by
+multiplying every lane by alpha at once, on first use, and live on the
+cached generator.
 
 Decoding is classical syndrome decoding: Berlekamp-Massey for the minimal
 error-locator polynomial, a Chien scan over the q - 1 nonzero elements for
@@ -27,8 +51,9 @@ miscorrection to some other valid codeword.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, field as dc_field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .galois import GF2m
@@ -171,11 +196,60 @@ class Codeword:
 class CauchyGenerator:
     """Precomputed systematic generator: parity = data x matrix."""
 
+    field: GF2m
     matrix: tuple[tuple[int, ...], ...]   # k rows, n-k columns
     x: tuple[int, ...]
     y: tuple[int, ...]
     u: tuple[int, ...]
     v: tuple[int, ...]
+
+    @cached_property
+    def lanes(self) -> struct.Struct:
+        """Byte layout of a packed parity vector: one big-endian lane per
+        parity symbol, 8 bits wide (16 when m > 8), lane n-k-1 first."""
+        return struct.Struct(f">{len(self.y)}{'B' if self.field.m <= 8 else 'H'}")
+
+    @property
+    def chunk_bits(self) -> int:
+        """Data bits looked up at once: 2^chunk_bits table entries per chunk.
+
+        Narrower chunks above m = 8 keep the tables within about twice the
+        memory of the matrix, whose entries there are no longer cached
+        small ints.
+        """
+        return 4 if self.field.m <= 8 else 2
+
+    @cached_property
+    def tables(self) -> tuple[list[int], ...]:
+        """Per data row i, flat lookup tables of packed parity vectors.
+
+        Entry (c << chunk_bits) | b holds the n-k products
+        (b << (c * chunk_bits)) * matrix[i][j] for chunk c of the data
+        bits, parity symbol j in lane j.  Multiplying by a constant is
+        GF(2)-linear, so data symbol d contributes the XOR of one entry per
+        chunk of its bits.  Built on first use, so a generator that only
+        answers set-up or decode questions never pays for it.
+        """
+        f = self.field
+        m, width, pack = f.m, self.chunk_bits, self.lanes.pack
+        top = int.from_bytes(pack(*[1 << (m - 1)] * len(self.y)), "big")
+        low = f.primitive_poly ^ f.q
+        tables = []
+        for row in self.matrix:
+            r = int.from_bytes(pack(*reversed(row)), "big")
+            basis = []   # row * alpha^b for b = 0 .. m-1, every lane at once
+            for _ in range(m):
+                basis.append(r)
+                hi = r & top
+                r = ((r ^ hi) << 1) ^ ((hi >> (m - 1)) * low)
+            flat = []
+            for lo in range(0, m, width):
+                table = [0]
+                for b in basis[lo:lo + width]:
+                    table += [t ^ b for t in table]
+                flat += table
+            tables.append(flat)
+        return tuple(tables)
 
 
 @lru_cache(maxsize=None)
@@ -183,55 +257,52 @@ def build_cauchy(params: CodeParams) -> CauchyGenerator:
     """Build the Cauchy generator matrix for the given geometry."""
     f = params.field
     n, k = params.n, params.k
-    x = tuple(f.alpha_pow(n - 1 - i) for i in range(k))
-    y = tuple(f.alpha_pow(n - 1 - k - j) for j in range(n - k))
+    exp, log = f._exp, f._log
+    x = tuple(exp[n - 1 - i] for i in range(k))
+    y = tuple(exp[n - 1 - k - j] for j in range(n - k))
     # Distinct powers of alpha, so x_i + y_j = 0 is impossible; assert anyway.
     if set(x) & set(y):
         raise DegenerateParamsError("evaluation point collision between x and y")
 
+    # Work in logs (base alpha, modulo the group order n).
+    log_v = [sum(log[yj ^ xi] for xi in x) % n for yj in y]
     u = []
-    for i in range(k):
-        prod = 1
-        for l in range(k):
-            if l != i:
-                prod = f.mul(prod, x[i] ^ x[l])
-        u.append(f.inv(prod))
-    v = []
-    for j in range(n - k):
-        prod = 1
-        for l in range(k):
-            prod = f.mul(prod, y[j] ^ x[l])
-        v.append(prod)
-
-    matrix = tuple(
-        tuple(f.div(f.mul(u[i], v[j]), x[i] ^ y[j]) for j in range(n - k))
-        for i in range(k)
+    matrix = []
+    for i, xi in enumerate(x):
+        log_den = [log[xi ^ yj] for yj in y]
+        log_u = (n - 1 - i + sum(log_den)) % n   # u_i = x_i * prod_j (x_i + y_j)
+        u.append(exp[log_u])
+        matrix.append(tuple(
+            exp[(log_u + lv - ld) % n] for lv, ld in zip(log_v, log_den)
+        ))
+    return CauchyGenerator(
+        field=f, matrix=tuple(matrix), x=x, y=y, u=tuple(u),
+        v=tuple(exp[lv] for lv in log_v),
     )
-    return CauchyGenerator(matrix=matrix, x=x, y=y, u=tuple(u), v=tuple(v))
 
 
 def encode(params: CodeParams, data: Sequence[int]) -> Codeword:
     """Systematic encode: the k data symbols appear verbatim in the codeword."""
     if len(data) != params.k:
         raise LengthMismatchError(f"need {params.k} data symbols, got {len(data)}")
-    f = params.field
-    q = f.q
+    q = params.field.q
     for d in data:
         if not 0 <= d < q:
             raise ValueError(f"data symbol {d} outside GF({q})")
     gen = build_cauchy(params)
-    n, k = params.n, params.k
-    symbols = [0] * n
-    for i, d in enumerate(data):
-        symbols[n - 1 - i] = d
-    for j in range(n - k):
-        p = 0
-        for i in range(k):
-            di = data[i]
-            if di:
-                p ^= f.mul(di, gen.matrix[i][j])
-        symbols[n - k - 1 - j] = p
-    return Codeword(params, symbols)
+    width = gen.chunk_bits
+    mask = (1 << width) - 1
+    acc = 0
+    for row, d in zip(gen.tables, data):
+        offset = 0
+        while d:
+            acc ^= row[offset | (d & mask)]
+            d >>= width
+            offset += mask + 1
+    lanes = gen.lanes
+    parity = lanes.unpack(acc.to_bytes(lanes.size, "big"))
+    # Lane n-k-1 comes first, and parity symbol j sits at position n-k-1-j.
+    return Codeword(params, [*parity, *reversed(data)])
 
 
 # ----------------------------------------------------------------------
@@ -309,7 +380,13 @@ def _berlekamp_massey(f: GF2m, synd: Sequence[int]) -> tuple[list[int], int]:
 
 
 def decode(params: CodeParams, received) -> DecodeResult:
-    """Correct up to t symbol errors; never raises on garbage input."""
+    """Correct up to t symbol errors.
+
+    A received word of the wrong length raises ``LengthMismatchError`` and
+    one with a symbol outside [0, q) raises ``ValueError``.  Any word of n
+    in-range symbols never raises: beyond t errors the result is a flagged
+    failure or a miscorrection to another valid codeword.
+    """
     symbols = _symbols_of(params, received)
     word = Codeword(params, symbols)
     synd = syndromes(params, word)

@@ -3,7 +3,10 @@
 Everything here deliberately avoids the code paths under test: polynomial
 helpers are local, syndromes are literal power sums, and the brute-force
 decoder enumerates error-position subsets and solves the syndrome system
-by Gaussian elimination instead of Berlekamp-Massey.
+by Gaussian elimination instead of Berlekamp-Massey.  The Cauchy, encoder
+and bit-packing references are the direct formulations the library
+replaced with faster ones: the O(k^2) Lagrange product for u_i, one field
+multiplication per matrix entry, and one big int per byte string.
 """
 
 from itertools import combinations
@@ -165,3 +168,59 @@ def brute_force_decode(params, symbols):
                     corrected[pos] ^= y
                 return corrected, dict(zip(subset, mags))
     return None
+
+
+# ----------------------------------------------------------------------
+# direct Cauchy generator and scalar matrix-product encoder
+# ----------------------------------------------------------------------
+def cauchy_reference(params):
+    """(x, y, u, v, matrix) with u_i as the O(k^2) product over data points."""
+    f = params.field
+    n, k = params.n, params.k
+    x = [f.alpha_pow(n - 1 - i) for i in range(k)]
+    y = [f.alpha_pow(n - 1 - k - j) for j in range(n - k)]
+    u = []
+    for i in range(k):
+        prod = 1
+        for l in range(k):
+            if l != i:
+                prod = f.mul(prod, x[i] ^ x[l])
+        u.append(f.inv(prod))
+    v = []
+    for yj in y:
+        prod = 1
+        for xl in x:
+            prod = f.mul(prod, yj ^ xl)
+        v.append(prod)
+    matrix = [
+        [f.div(f.mul(u[i], v[j]), x[i] ^ y[j]) for j in range(n - k)]
+        for i in range(k)
+    ]
+    return x, y, u, v, matrix
+
+
+def scalar_encode(params, matrix, data):
+    """Codeword symbols for parity = data x matrix, one mul per entry."""
+    f = params.field
+    n, k = params.n, params.k
+    symbols = [0] * n
+    for i, d in enumerate(data):
+        symbols[n - 1 - i] = d
+    for j in range(n - k):
+        p = 0
+        for i in range(k):
+            p ^= f.mul(data[i], matrix[i][j])
+        symbols[n - k - 1 - j] = p
+    return symbols
+
+
+# ----------------------------------------------------------------------
+# big-int bit unpacking
+# ----------------------------------------------------------------------
+def bigint_to_symbols(data, m, count):
+    """The first `count` m-bit symbols of data read MSB-first as one big
+    int, with zero bits past its end."""
+    shift = count * m - len(data) * 8
+    acc = int.from_bytes(data, "big")
+    acc = acc << shift if shift >= 0 else acc >> -shift
+    return [(acc >> (m * (count - 1 - i))) & ((1 << m) - 1) for i in range(count)]

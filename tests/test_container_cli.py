@@ -1,5 +1,7 @@
 """Container format round trips and CLI behavior."""
 
+import random
+
 import pytest
 
 from rsstego import (
@@ -16,6 +18,7 @@ from rsstego.container import (
     unpack_symbols,
 )
 from rsstego.cli import main
+from oracles import bigint_to_symbols
 
 
 # ----------------------------------------------------------------------
@@ -40,6 +43,21 @@ def test_bytes_to_symbols_count():
     assert len(syms) == 3
     assert syms == [0b101, 0b001, 0b010]  # 10100101 + 0 pad
     assert symbols_to_bytes(syms, 3, byte_len=1) == b"\xa5"
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_packers_match_bigint_reference(m):
+    rnd = random.Random(100 + m)
+    for size in (0, 1, 2, 3, 5, 7, 13, 64, 101):
+        data = rnd.randbytes(size)
+        assert bytes_to_symbols(data, m) == bigint_to_symbols(data, m, -(-size * 8 // m))
+        assert unpack_symbols(data, m) == bigint_to_symbols(data, m, size * 8 // m)
+        symbols = [rnd.randrange(1 << m) for _ in range(rnd.randrange(1, 40))]
+        packed = pack_symbols(symbols, m)
+        pad_bits = len(packed) * 8 - len(symbols) * m
+        assert 0 <= pad_bits < 8
+        assert bigint_to_symbols(packed, m, len(symbols)) == symbols
+        assert int.from_bytes(packed, "big") & ((1 << pad_bits) - 1) == 0
 
 
 def test_container_header_roundtrip():
@@ -144,6 +162,22 @@ def test_cli_empty_message(workdir, capsys):
     assert (workdir / "msg.out").read_bytes() == b""
     original = (workdir / "cover.bin").read_bytes()
     assert (workdir / "data.out").read_bytes()[: len(original)] == original
+
+
+@pytest.mark.parametrize("m, k", [(11, 2015), (12, 4063)])
+def test_cli_roundtrip_large_m(workdir, capsys, m, k):
+    geometry = ["--m", str(m), "--n", str((1 << m) - 1), "--k", str(k)]
+    rc, out = _embed_extract(
+        workdir, embed_args=[*geometry, "--stego", "8", "--seed", "3"],
+        extract_args=["--stego", "8"], capsys=capsys,
+    )
+    assert rc == 0
+    assert out.splitlines()[0] == "codewords=2"
+    assert (workdir / "msg.out").read_bytes() == b"attack at dawn"
+    recovered = (workdir / "data.out").read_bytes()
+    original = (workdir / "cover.bin").read_bytes()
+    assert recovered[: len(original)] == original
+    assert not any(recovered[len(original):])
 
 
 def test_cli_wrong_seed_garbage_message_intact_data(workdir, capsys):

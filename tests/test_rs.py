@@ -18,7 +18,13 @@ from rsstego import (
     hamming_weight,
     syndromes,
 )
-from oracles import brute_force_decode, direct_syndromes, remainder_encode
+from oracles import (
+    brute_force_decode,
+    cauchy_reference,
+    direct_syndromes,
+    remainder_encode,
+    scalar_encode,
+)
 
 
 # ----------------------------------------------------------------------
@@ -97,6 +103,27 @@ def test_cauchy_entries_nonzero(fixture, request):
     gen = build_cauchy(params)
     assert all(all(entry != 0 for entry in row) for row in gen.matrix)
     assert not set(gen.x) & set(gen.y)
+
+
+# One geometry per m = 3..12: high-rate codes while the O(k^2) reference
+# stays cheap, then low-rate ones; m = 9..12 use 16-bit parity lanes.
+ORACLE_GEOMETRIES = [
+    (3, 3), (4, 7), (5, 19), (6, 47), (7, 99), (8, 223), (9, 479),
+    (10, 50), (11, 40), (12, 30),
+]
+
+
+@pytest.mark.parametrize("m, k", ORACLE_GEOMETRIES)
+def test_cauchy_and_encode_match_direct_references(m, k):
+    params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
+    gen = build_cauchy(params)
+    x, y, u, v, matrix = cauchy_reference(params)
+    assert (gen.x, gen.y, gen.u, gen.v) == tuple(map(tuple, (x, y, u, v)))
+    assert gen.matrix == tuple(map(tuple, matrix))
+    rnd = random.Random(m)
+    q = 1 << m
+    for data in ([q - 1] * k, *([rnd.randrange(q) for _ in range(k)] for _ in range(3))):
+        assert encode(params, data).symbols == scalar_encode(params, matrix, data)
 
 
 def test_cauchy_zero_syndromes_exhaustive_rs7(rs7):
@@ -271,6 +298,24 @@ def test_decode_agrees_with_brute_force_on_garbage(rs7):
             assert not result.failure
             assert result.corrected.symbols == corrected
             assert result.error_magnitudes == magnitudes
+
+
+def test_decode_rejects_malformed_words(rs7):
+    with pytest.raises(LengthMismatchError):
+        decode(rs7, [0] * 6)
+    for bad in (8, -1):
+        with pytest.raises(ValueError, match="outside"):
+            decode(rs7, [0] * 6 + [bad])
+
+
+@pytest.mark.parametrize("fixture, words", [("rs7", 3000), ("rs31", 500)])
+def test_decode_never_raises_on_in_range_words(fixture, words, request):
+    params = request.getfixturevalue(fixture)
+    rnd = random.Random(59)
+    for _ in range(words):
+        received = [rnd.randrange(params.field.q) for _ in range(params.n)]
+        result = decode(params, received)
+        assert result.failure or not any(syndromes(params, result.corrected))
 
 
 def test_roundtrip_random_error_patterns_rs31(rs31):
