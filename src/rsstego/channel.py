@@ -1,6 +1,6 @@
 """Seedable noisy-channel models.
 
-Three noise shapes, all deterministic functions of (rng_seed, trial_index):
+Three noise shapes, each a deterministic function of the caller's seed:
 
 * single_symbol - one uniformly random position XORed with a uniformly
   random nonzero delta (the decoder corrects whole symbols, so this is the
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .rng import SplitMix64, fork
+from .rng import SplitMix64
 from .rs import Codeword
 
 MODES = ("none", "single_symbol", "single_bit", "burst")
@@ -31,7 +31,6 @@ class ChannelSpec:
 
     mode: str = "none"
     burst_bits: int = 6
-    rng_seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -60,16 +59,16 @@ def max_affected_symbols(spec: ChannelSpec, m: int) -> int:
 
 
 def apply_noise(
-    codeword: Codeword, spec: ChannelSpec, trial_index: int
+    codeword: Codeword, spec: ChannelSpec, seed: int
 ) -> tuple[Codeword, ErrorEvent]:
-    """Apply one noise event; deterministic given (spec.rng_seed, trial_index)."""
+    """Apply one noise event drawn from SplitMix64(seed)."""
     params = codeword.params
     if spec.mode == "none":
         return codeword.copy(), ErrorEvent(frozenset(), {})
 
     m = params.field.m
     n = params.n
-    rng = SplitMix64(fork(spec.rng_seed, trial_index))
+    rng = SplitMix64(seed)
     symbols = list(codeword.symbols)
 
     if spec.mode == "single_symbol":

@@ -115,6 +115,15 @@ class GF2m:
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, primitive_poly=0x{self.primitive_poly:x})"
 
+    # The tables are a function of (m, primitive_poly): that pair is the value.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, GF2m):
+            return NotImplemented
+        return (self.m, self.primitive_poly) == (other.m, other.primitive_poly)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.primitive_poly))
+
     # ------------------------------------------------------------------
     # element arithmetic
     # ------------------------------------------------------------------

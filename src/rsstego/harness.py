@@ -13,24 +13,25 @@ metrics:
 * error_location_hist       - channel-error count per codeword position;
 * stego_location_hist       - stego-position count per codeword position.
 
-Everything is a deterministic function of master_seed: purpose-tagged
-SplitMix64 substreams drive data, messages, keys and the channel.  The
-rng_seed on the config's ChannelSpec is ignored and re-derived from
-master_seed, so identical master seeds give identical reports.  Trials are
-independent, so they could run concurrently; aggregation is ordered by
-trial index either way.
+Everything is a deterministic function of master_seed.  ``run_trial`` is
+the one place that derives seeds: trial i draws its data, message, key and
+channel noise from the substreams fork(fork(master_seed, purpose), i), so
+identical master seeds give identical reports and any trial can be replayed
+on its own.  The stego budget is checked once per config, against the
+channel's worst case.  Trials are independent, so they could run
+concurrently; aggregation is ordered by trial index either way.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .channel import ChannelSpec, apply_noise, max_affected_symbols
 from .rng import SplitMix64, fork
 from .rs import CodeParams, encode
-from .stego import BudgetExceededError, derive_positions, embed, extract
+from .stego import check_budget, derive_positions, embed, extract
 
 # substream purpose tags
 _DATA, _MESSAGE, _KEY, _CHANNEL = 0, 1, 2, 3
@@ -48,12 +49,8 @@ class ExperimentConfig:
     pool: str = "parity"
 
     def __post_init__(self):
-        budget = max_affected_symbols(self.channel, self.params.field.m)
-        if self.stego_count + budget > self.params.t:
-            raise BudgetExceededError(
-                f"{self.stego_count} stego symbols + worst-case {budget} channel "
-                f"symbols > t = {self.params.t}"
-            )
+        worst = max_affected_symbols(self.channel, self.params.field.m)
+        check_budget(self.params, self.stego_count, worst)
         if self.trials < 0:
             raise ValueError(f"trials must be non-negative, got {self.trials}")
 
@@ -79,33 +76,24 @@ class ExperimentReport:
     stego_count: int
 
 
-def _trial_channel(config: ExperimentConfig) -> ChannelSpec:
-    return replace(config.channel, rng_seed=fork(config.master_seed, _CHANNEL))
-
-
 def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     """Execute one full pipeline pass and compare against what was sent."""
     params = config.params
     q = params.field.q
-    master = config.master_seed
-
-    data_rng = SplitMix64(fork(fork(master, _DATA), trial_index))
-    msg_rng = SplitMix64(fork(fork(master, _MESSAGE), trial_index))
-    data = [data_rng.below(q) for _ in range(params.k)]
-    message = [msg_rng.below(q) for _ in range(config.stego_count)]
-
-    budget = max_affected_symbols(config.channel, params.field.m)
-    key = derive_positions(
-        params,
-        fork(fork(master, _KEY), trial_index),
-        config.stego_count,
-        pool=config.pool,
-        channel_budget=budget,
+    data_seed, msg_seed, key_seed, noise_seed = (
+        fork(fork(config.master_seed, purpose), trial_index)
+        for purpose in (_DATA, _MESSAGE, _KEY, _CHANNEL)
     )
 
+    data_rng = SplitMix64(data_seed)
+    msg_rng = SplitMix64(msg_seed)
+    data = [data_rng.below(q) for _ in range(params.k)]
+    message = [msg_rng.below(q) for _ in range(config.stego_count)]
+    key = derive_positions(params, key_seed, config.stego_count, pool=config.pool)
+
     clean = encode(params, data)
-    carrier = embed(clean, key, message, channel_budget=budget)
-    noisy, event = apply_noise(carrier, _trial_channel(config), trial_index)
+    carrier = embed(clean, key, message)
+    noisy, event = apply_noise(carrier, config.channel, noise_seed)
     recovered = extract(noisy, key, params)
 
     return TrialRecord(

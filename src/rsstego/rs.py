@@ -71,8 +71,8 @@ class DegenerateParamsError(ValueError):
 # Hamming utilities
 # ----------------------------------------------------------------------
 def hamming_weight(x: Iterable) -> int:
-    """Number of nonzero entries ('1' characters count as nonzero)."""
-    return sum(1 for a in x if a not in (0, "0"))
+    """Number of nonzero entries."""
+    return sum(1 for a in x if a != 0)
 
 
 def hamming_distance(x: Sequence, y: Sequence) -> int:
@@ -252,7 +252,13 @@ class CauchyGenerator:
         return tuple(tables)
 
 
-@lru_cache(maxsize=None)
+# A generator with its encoder tables takes about 9 MB at RS(4095,4063).
+# Callers use one or a few geometries at a time; eight keeps those warm and
+# bounds what a caller cycling through many geometries keeps alive.
+CAUCHY_CACHE_SIZE = 8
+
+
+@lru_cache(maxsize=CAUCHY_CACHE_SIZE)
 def build_cauchy(params: CodeParams) -> CauchyGenerator:
     """Build the Cauchy generator matrix for the given geometry."""
     f = params.field

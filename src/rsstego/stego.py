@@ -7,6 +7,10 @@ carrier data always survives.  Extraction reads the raw received values at
 the key positions (a channel error landing on a stego position therefore
 corrupts that message symbol) and decodes the rest normally.
 
+``check_budget`` is the one check of that invariant: keys and embeddings
+refuse more than t substitutions, and an experiment also reserves its
+channel's worst case.
+
 By default positions are drawn from the parity block only, keeping the
 visible data symbols untouched; pass pool="any" to allow every position.
 Position selection is a pure function of (seed, geometry, count) via
@@ -31,7 +35,16 @@ SecretMessage = Sequence[int]
 
 
 class BudgetExceededError(ValueError):
-    """Stego substitutions plus reserved channel errors would exceed t."""
+    """Stego substitutions plus worst-case channel errors would exceed t."""
+
+
+def check_budget(params: CodeParams, stego_count: int, channel_symbols: int) -> None:
+    """Raise unless stego_count + channel_symbols <= t."""
+    if stego_count + channel_symbols > params.t:
+        raise BudgetExceededError(
+            f"{stego_count} stego symbols + {channel_symbols} worst-case channel "
+            f"symbols > t = {params.t}"
+        )
 
 
 @dataclass(frozen=True)
@@ -46,12 +59,7 @@ class StegoKey:
 
 
 def derive_positions(
-    params: CodeParams,
-    seed: int,
-    count: int,
-    *,
-    pool: str = "parity",
-    channel_budget: int = 0,
+    params: CodeParams, seed: int, count: int, *, pool: str = "parity"
 ) -> StegoKey:
     """Deterministically pick ``count`` distinct hiding positions.
 
@@ -68,15 +76,8 @@ def derive_positions(
         raise ValueError(f"pool must be 'parity' or 'any', got {pool!r}")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")
-    if count + channel_budget > params.t:
-        raise BudgetExceededError(
-            f"{count} stego symbols + {channel_budget} reserved channel errors "
-            f"> t = {params.t}"
-        )
-    if count > pool_size:
-        raise BudgetExceededError(
-            f"cannot pick {count} distinct positions from a pool of {pool_size}"
-        )
+    # Both pools hold at least n - k >= t positions, so the draw terminates.
+    check_budget(params, count, 0)
     rng = SplitMix64(seed)
     positions: list[int] = []
     seen = set()
@@ -88,13 +89,7 @@ def derive_positions(
     return StegoKey(positions=tuple(positions), seed=seed)
 
 
-def embed(
-    clean: Codeword,
-    key: StegoKey,
-    message: SecretMessage,
-    *,
-    channel_budget: int = 0,
-) -> Codeword:
+def embed(clean: Codeword, key: StegoKey, message: SecretMessage) -> Codeword:
     """Substitute the symbols at the key positions with message symbols.
 
     A message symbol equal to the clean symbol is fine: it produces a
@@ -108,11 +103,7 @@ def embed(
         )
     if len(set(key.positions)) != len(key.positions):
         raise ValueError("stego positions must be distinct")
-    if len(key.positions) + channel_budget > params.t:
-        raise BudgetExceededError(
-            f"{len(key.positions)} stego symbols + {channel_budget} reserved "
-            f"channel errors > t = {params.t}"
-        )
+    check_budget(params, len(key.positions), 0)
     q = params.field.q
     symbols = list(clean.symbols)
     for pos, sym in zip(key.positions, message):

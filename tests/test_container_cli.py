@@ -12,6 +12,7 @@ from rsstego import (
 )
 from rsstego.container import (
     HEADER_SIZE,
+    MAGIC,
     bytes_to_symbols,
     pack_symbols,
     symbols_to_bytes,
@@ -306,3 +307,55 @@ def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "FAIL" not in out
+
+
+# ----------------------------------------------------------------------
+# error contract: malformed containers fail with a documented error
+# ----------------------------------------------------------------------
+def _malformed_blobs(good: bytes, count: int, seed: int):
+    """Truncations, 1-3 byte mutations of the header and of the payload,
+    and random bytes after the magic, in rotation."""
+    rnd = random.Random(seed)
+    for i in range(count):
+        kind = i % 4
+        if kind == 0:
+            yield good[: rnd.randrange(len(good))]
+        elif kind == 3:
+            yield MAGIC + rnd.randbytes(rnd.randrange(2 * HEADER_SIZE + 40))
+        else:
+            lo, hi = (0, HEADER_SIZE) if kind == 1 else (HEADER_SIZE, len(good))
+            blob = bytearray(good)
+            for _ in range(rnd.randint(1, 3)):
+                blob[rnd.randrange(lo, hi)] ^= rnd.randrange(1, 256)
+            yield bytes(blob)
+
+
+def _good_container(workdir) -> bytes:
+    assert main([
+        "embed", "--data", str(workdir / "cover.bin"),
+        "--message", str(workdir / "secret.bin"),
+        "--out", str(workdir / "out.rss"), "--seed", "21",
+    ]) == 0
+    return (workdir / "out.rss").read_bytes()
+
+
+def test_unpack_container_raises_only_documented_errors(workdir, capsys):
+    for blob in _malformed_blobs(_good_container(workdir), 600, seed=1):
+        try:
+            cont = unpack_container(blob)
+        except (BadMagicError, CorruptHeaderError):
+            continue
+        assert cont.n == (1 << cont.m) - 1
+        assert len(cont.symbols) == cont.num_codewords * cont.n
+
+
+def test_cli_extract_never_raises_on_malformed_containers(workdir, capsys):
+    container = workdir / "fuzz.rss"
+    for blob in _malformed_blobs(_good_container(workdir), 200, seed=2):
+        container.write_bytes(blob)
+        rc = main([
+            "extract", str(container),
+            "--out-data", str(workdir / "data.out"),
+            "--out-message", str(workdir / "msg.out"),
+        ])
+        assert rc in (0, 1)

@@ -6,9 +6,11 @@ import pytest
 
 from rsstego import (
     DEFAULT_PRIMITIVE_POLY,
+    CodeParams,
     GF2m,
     NonPrimitiveGeneratorError,
     ReduciblePolynomialError,
+    encode,
 )
 from oracles import eval_term_by_term, gf2_is_irreducible_oracle
 
@@ -71,6 +73,20 @@ def test_construction_matches_irreducibility_oracle_exhaustive_m3():
 def test_all_default_polys_valid(m):
     f = GF2m(m)
     assert f.alpha_pow(f.q - 1) == 1
+
+
+def test_fields_compare_by_value():
+    """Fields with the same (m, modulus) are equal, and so is what they build."""
+    a, b = GF2m(5), GF2m(5)
+    assert a == b
+    assert hash(a) == hash(b)
+    assert a != GF2m(5, 0b101001)  # x^5 + x^3 + 1, another primitive modulus
+    assert a != GF2m(4)
+    assert a != 5
+    pa, pb = CodeParams(a, 31, 19), CodeParams(b, 31, 19)
+    assert pa == pb
+    assert hash(pa) == hash(pb)
+    assert encode(pa, list(range(19))) == encode(pb, list(range(19)))
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,19 @@ def test_cauchy_entries_nonzero(fixture, request):
     assert not set(gen.x) & set(gen.y)
 
 
+def test_build_cauchy_cache_is_bounded_and_keyed_by_value():
+    build_cauchy.cache_clear()
+    generators = {id(build_cauchy(CodeParams(GF2m(5), 31, 19))) for _ in range(52)}
+    info = build_cauchy.cache_info()
+    assert len(generators) == 1
+    assert (info.misses, info.currsize) == (1, 1)
+    assert isinstance(info.maxsize, int)
+    for k in range(1, 30):  # 29 distinct RS(31, k) geometries
+        build_cauchy(CodeParams(GF2m(5), 31, k))
+    assert build_cauchy.cache_info().currsize <= info.maxsize < 29
+    build_cauchy.cache_clear()
+
+
 # One geometry per m = 3..12: high-rate codes while the O(k^2) reference
 # stays cheap, then low-rate ones; m = 9..12 use 16-bit parity lanes.
 ORACLE_GEOMETRIES = [

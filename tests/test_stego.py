@@ -7,6 +7,7 @@ import pytest
 from rsstego import (
     BudgetExceededError,
     LengthMismatchError,
+    StegoKey,
     decode,
     derive_positions,
     embed,
@@ -46,14 +47,15 @@ def test_derive_positions_distinct_and_in_pool(rs31):
 
 
 def test_budget_enforced(rs31):
-    with pytest.raises(BudgetExceededError):
-        derive_positions(rs31, seed=1, count=5, channel_budget=2)  # 5 + 2 > 6
-    key = derive_positions(rs31, seed=1, count=5)
+    """Keys and embeddings refuse more than t = 6 substitutions."""
+    for pool in ("parity", "any"):
+        with pytest.raises(BudgetExceededError):
+            derive_positions(rs31, seed=1, count=7, pool=pool)
+        derive_positions(rs31, seed=1, count=6, pool=pool)
     word = encode(rs31, [0] * 19)
+    embed(word, StegoKey(tuple(range(6))), [1] * 6)
     with pytest.raises(BudgetExceededError):
-        embed(word, key, [1, 2, 3, 4, 5], channel_budget=2)
-    # same key is fine with a smaller reservation
-    embed(word, key, [1, 2, 3, 4, 5], channel_budget=1)
+        embed(word, StegoKey(tuple(range(7))), [1] * 7)
 
 
 def test_embed_length_mismatch(rs31):
@@ -118,7 +120,7 @@ def test_channel_error_off_stego_positions(rs31):
         data = [rnd.randrange(32) for _ in range(19)]
         key = derive_positions(rs31, seed=rnd.randrange(1 << 32), count=5)
         message = [rnd.randrange(32) for _ in range(5)]
-        carrier = embed(encode(rs31, data), key, message, channel_budget=1)
+        carrier = embed(encode(rs31, data), key, message)
         pos = rnd.choice([p for p in range(31) if p not in key.positions])
         noisy = list(carrier)
         noisy[pos] ^= rnd.randrange(1, 32)
@@ -134,7 +136,7 @@ def test_channel_error_on_stego_position_corrupts_that_symbol(rs31):
         data = [rnd.randrange(32) for _ in range(19)]
         key = derive_positions(rs31, seed=rnd.randrange(1 << 32), count=2)
         message = [rnd.randrange(32) for _ in range(2)]
-        carrier = embed(encode(rs31, data), key, message, channel_budget=1)
+        carrier = embed(encode(rs31, data), key, message)
         hit = rnd.randrange(2)
         noisy = list(carrier)
         noisy[key.positions[hit]] ^= rnd.randrange(1, 32)
