@@ -18,13 +18,13 @@ for i in range(f.q - 1):
 print(f"  alpha^{f.q - 1} = {f.alpha_pow(f.q - 1)}  (back to 1: the group is cyclic)\n")
 
 print("Addition is XOR, so every element is its own negative:")
-print(f"  5 + 5 = {f.add(5, 5)}")
-print(f"  5 + 3 = {f.add(5, 3)},  (5 + 3) + 3 = {f.add(f.add(5, 3), 3)}\n")
+print(f"  5 + 5 = {5 ^ 5}")
+print(f"  5 + 3 = {5 ^ 3},  (5 + 3) + 3 = {5 ^ 3 ^ 3}\n")
 
 print("Multiplication runs on the log/antilog tables:")
 a3, a5 = f.alpha_pow(3), f.alpha_pow(5)
 print(f"  alpha^3 * alpha^5 = {f.mul(a3, a5)} = alpha^(8 mod 7) = alpha = {f.alpha_pow(1)}")
-print(f"  inverses: 6 * inv(6) = {f.mul(6, f.inv(6))}\n")
+print(f"  inverses: 6 * (1 / 6) = {f.mul(6, f.div(1, 6))}\n")
 
 print("Construction rejects bad moduli:")
 for poly, label in [(0b1001, "x^3 + 1 (divisible by x + 1)"),
@@ -43,6 +43,5 @@ p = [1, 0, 1]            # x^2 + 1
 q = [f.alpha_pow(2), 1]  # x + alpha^2
 prod = f.poly_mul(p, q)
 print(f"  (x^2 + 1)(x + alpha^2) = {prod}")
-quot, rem = f.poly_divmod(prod, q)
-print(f"  divided back by (x + alpha^2): quotient {quot}, remainder {rem}")
+print(f"  at x = alpha^2, the root of x + alpha^2: {f.poly_eval(prod, f.alpha_pow(2))}")
 print(f"  p(1) = {f.poly_eval(p, 1)}   (1 XOR 1 = 0 in characteristic 2)")

@@ -18,7 +18,10 @@ gen = build_cauchy(params)
 print("The systematic generator is a Cauchy matrix A (parity = data x A):")
 for row in gen.matrix:
     print(f"  {list(row)}")
-print(f"built from points x = {list(gen.x)} (data) and y = {list(gen.y)} (parity)\n")
+n, k = params.n, params.k
+x = [params.field.alpha_pow(n - 1 - i) for i in range(k)]
+y = [params.field.alpha_pow(n - 1 - k - j) for j in range(n - k)]
+print(f"built from points x = {x} (data) and y = {y} (parity)\n")
 
 data = [1, 5, 2]
 word = encode(params, data)

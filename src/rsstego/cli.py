@@ -124,6 +124,8 @@ def cmd_extract(args) -> int:
     seed = cont.seed if args.seed is None else args.seed
 
     msg_sym_total = (cont.message_len * 8 + cont.m - 1) // cont.m
+    if c <= 0 and msg_sym_total:
+        raise ValueError("--stego must be positive to extract a non-empty message")
     needed_cw = -(-msg_sym_total // c) if msg_sym_total else 0
     if needed_cw > cont.num_codewords:
         raise CorruptHeaderError(

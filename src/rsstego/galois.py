@@ -1,14 +1,18 @@
-"""Arithmetic in GF(2^m) and polynomials over it.
+"""Arithmetic in GF(2^m) and polynomials over it: what the RS codec uses.
 
 Field elements are plain ints in [0, 2^m): the binary digits are the
 coefficients of a polynomial over GF(2), reduced modulo an irreducible
-polynomial of degree m.  Addition is XOR (characteristic 2, so addition
-and subtraction coincide); multiplication goes through log/antilog tables
-built from the primitive element alpha = x (the int 2).  The tables cost
-2 * 2^m ints of memory, which is why m is capped at 16.
+polynomial of degree m.  Addition is XOR, written inline by callers
+(characteristic 2, so addition and subtraction coincide); multiplication
+and division go through log/antilog tables built from the primitive
+element alpha = x (the int 2), and ``div(1, a)`` is the inverse of a.  The
+tables cost 2 * 2^m ints of memory, which is why m is capped at 16.
 
 Polynomials over the field are lists of ints, index = power of x, with no
-trailing zeros; the zero polynomial is the empty list and has degree -1.
+trailing zeros; the zero polynomial is the empty list.  The codec needs
+three operations on them: ``poly_trim``, ``poly_mul`` and the Horner
+evaluation ``poly_eval``, which computes syndromes and runs the Chien and
+Forney steps.
 """
 
 from __future__ import annotations
@@ -125,51 +129,24 @@ class GF2m:
         return hash((self.m, self.primitive_poly))
 
     # ------------------------------------------------------------------
-    # element arithmetic
+    # element arithmetic (addition is XOR)
     # ------------------------------------------------------------------
-    @staticmethod
-    def add(a: int, b: int) -> int:
-        """Field addition (XOR); doubles as subtraction."""
-        return a ^ b
-
-    sub = add
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
 
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no multiplicative inverse")
-        return self._exp[self.q - 1 - self._log[a]]
-
     def div(self, a: int, b: int) -> int:
+        """a / b; div(1, b) is the inverse of b."""
         if b == 0:
             raise ZeroDivisionError("division by zero field element")
         if a == 0:
             return 0
         return self._exp[self._log[a] - self._log[b] + self.q - 1]
 
-    def pow(self, a: int, e: int) -> int:
-        """a**e with the exponent taken modulo q-1; pow(0, 0) = 1."""
-        if a == 0:
-            if e == 0:
-                return 1
-            if e < 0:
-                raise ZeroDivisionError("0 cannot be raised to a negative power")
-            return 0
-        return self._exp[(self._log[a] * e) % (self.q - 1)]
-
     def alpha_pow(self, e: int) -> int:
         """alpha^e for any integer e (negative exponents wrap)."""
         return self._exp[e % (self.q - 1)]
-
-    def log(self, a: int) -> int:
-        """Discrete log base alpha; undefined for 0."""
-        if a == 0:
-            raise ValueError("log(0) is undefined")
-        return self._log[a]
 
     # ------------------------------------------------------------------
     # polynomials (coefficient lists, ascending powers)
@@ -181,23 +158,6 @@ class GF2m:
         while p and p[-1] == 0:
             p.pop()
         return p
-
-    @staticmethod
-    def poly_deg(p: Sequence[int]) -> int:
-        """Degree of the polynomial; -1 for the zero polynomial."""
-        for i in range(len(p) - 1, -1, -1):
-            if p[i]:
-                return i
-        return -1
-
-    @staticmethod
-    def poly_add(a: Sequence[int], b: Sequence[int]) -> FieldPoly:
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] ^= c
-        return GF2m.poly_trim(out)
 
     def poly_mul(self, a: Sequence[int], b: Sequence[int]) -> FieldPoly:
         a = self.poly_trim(a)
@@ -213,32 +173,19 @@ class GF2m:
                     out[i + j] ^= self.mul(ai, bj)
         return self.poly_trim(out)
 
-    def poly_divmod(self, a: Sequence[int], b: Sequence[int]) -> tuple[FieldPoly, FieldPoly]:
-        """(quotient, remainder) with deg(remainder) < deg(b)."""
-        a = self.poly_trim(a)
-        b = self.poly_trim(b)
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        if len(a) < len(b):
-            return [], a
-        rem = list(a)
-        quot = [0] * (len(a) - len(b) + 1)
-        inv_lead = self.inv(b[-1])
-        for i in range(len(a) - len(b), -1, -1):
-            c = self.mul(rem[i + len(b) - 1], inv_lead)
-            if c:
-                quot[i] = c
-                for j, bj in enumerate(b):
-                    if bj:
-                        rem[i + j] ^= self.mul(c, bj)
-        return self.poly_trim(quot), self.poly_trim(rem)
-
-    def poly_mod(self, a: Sequence[int], b: Sequence[int]) -> FieldPoly:
-        return self.poly_divmod(a, b)[1]
-
     def poly_eval(self, p: Sequence[int], x: int) -> int:
-        """Horner evaluation of p at x; the zero polynomial evaluates to 0."""
+        """Horner evaluation of p at x; the zero polynomial evaluates to 0.
+
+        The accumulator is multiplied by x in the log domain: one addition
+        of logs per coefficient.
+        """
+        if x == 0:   # _log[0] is a placeholder (it equals _log[1]), not a log
+            return p[0] if p else 0
+        exp, log = self._exp, self._log
+        log_x = log[x]
         acc = 0
         for c in reversed(p):
-            acc = self.mul(acc, x) ^ c
+            if acc:
+                acc = exp[log[acc] + log_x]
+            acc ^= c
         return acc

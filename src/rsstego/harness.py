@@ -17,9 +17,10 @@ Everything is a deterministic function of master_seed.  ``run_trial`` is
 the one place that derives seeds: trial i draws its data, message, key and
 channel noise from the substreams fork(fork(master_seed, purpose), i), so
 identical master seeds give identical reports and any trial can be replayed
-on its own.  The stego budget is checked once per config, against the
-channel's worst case.  Trials are independent, so they could run
-concurrently; aggregation is ordered by trial index either way.
+on its own.  The pool, the stego count and the stego budget (against the
+channel's worst case) are checked once, when the config is built.  Trials
+are independent, so they could run concurrently; aggregation is ordered by
+trial index either way.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from pathlib import Path
 from .channel import ChannelSpec, apply_noise, max_affected_symbols
 from .rng import SplitMix64, fork
 from .rs import CodeParams, encode
-from .stego import check_budget, derive_positions, embed, extract
+from .stego import check_budget, check_key_request, derive_positions, embed, extract
 
 # substream purpose tags
 _DATA, _MESSAGE, _KEY, _CHANNEL = 0, 1, 2, 3
@@ -49,6 +50,7 @@ class ExperimentConfig:
     pool: str = "parity"
 
     def __post_init__(self):
+        check_key_request(self.params, self.stego_count, self.pool)
         worst = max_affected_symbols(self.channel, self.params.field.m)
         check_budget(self.params, self.stego_count, worst)
         if self.trials < 0:

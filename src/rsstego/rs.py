@@ -194,20 +194,21 @@ class Codeword:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CauchyGenerator:
-    """Precomputed systematic generator: parity = data x matrix."""
+    """Precomputed systematic generator: parity = data x matrix.
+
+    Only the matrix is kept; the evaluation points x, y and the normalisers
+    u, v it is built from are locals of ``build_cauchy``.
+    """
 
     field: GF2m
     matrix: tuple[tuple[int, ...], ...]   # k rows, n-k columns
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    u: tuple[int, ...]
-    v: tuple[int, ...]
 
     @cached_property
     def lanes(self) -> struct.Struct:
         """Byte layout of a packed parity vector: one big-endian lane per
         parity symbol, 8 bits wide (16 when m > 8), lane n-k-1 first."""
-        return struct.Struct(f">{len(self.y)}{'B' if self.field.m <= 8 else 'H'}")
+        n_parity = len(self.matrix[0])
+        return struct.Struct(f">{n_parity}{'B' if self.field.m <= 8 else 'H'}")
 
     @property
     def chunk_bits(self) -> int:
@@ -232,7 +233,7 @@ class CauchyGenerator:
         """
         f = self.field
         m, width, pack = f.m, self.chunk_bits, self.lanes.pack
-        top = int.from_bytes(pack(*[1 << (m - 1)] * len(self.y)), "big")
+        top = int.from_bytes(pack(*[1 << (m - 1)] * len(self.matrix[0])), "big")
         low = f.primitive_poly ^ f.q
         tables = []
         for row in self.matrix:
@@ -272,19 +273,14 @@ def build_cauchy(params: CodeParams) -> CauchyGenerator:
 
     # Work in logs (base alpha, modulo the group order n).
     log_v = [sum(log[yj ^ xi] for xi in x) % n for yj in y]
-    u = []
     matrix = []
     for i, xi in enumerate(x):
         log_den = [log[xi ^ yj] for yj in y]
         log_u = (n - 1 - i + sum(log_den)) % n   # u_i = x_i * prod_j (x_i + y_j)
-        u.append(exp[log_u])
         matrix.append(tuple(
             exp[(log_u + lv - ld) % n] for lv, ld in zip(log_v, log_den)
         ))
-    return CauchyGenerator(
-        field=f, matrix=tuple(matrix), x=x, y=y, u=tuple(u),
-        v=tuple(exp[lv] for lv in log_v),
-    )
+    return CauchyGenerator(field=f, matrix=tuple(matrix))
 
 
 def encode(params: CodeParams, data: Sequence[int]) -> Codeword:
@@ -314,34 +310,16 @@ def encode(params: CodeParams, data: Sequence[int]) -> Codeword:
 # ----------------------------------------------------------------------
 # decoder
 # ----------------------------------------------------------------------
-def _symbols_of(params: CodeParams, received) -> list[int]:
-    if isinstance(received, Codeword):
-        return list(received.symbols)
-    symbols = list(received)
-    if len(symbols) != params.n:
-        raise LengthMismatchError(
-            f"received word needs {params.n} symbols, got {len(symbols)}"
-        )
-    return symbols
-
-
 def syndromes(params: CodeParams, received) -> list[int]:
-    """S_j = v(alpha^j) for j = 1 .. 2t; all zero iff v is a codeword."""
-    symbols = _symbols_of(params, received)
-    f = params.field
-    exp, log = f._exp, f._log
-    order = f.q - 1
-    out = []
-    for j in range(1, 2 * params.t + 1):
-        aj = exp[j % order]
-        log_aj = log[aj]
-        s = 0
-        for c in reversed(symbols):
-            if s:
-                s = exp[log[s] + log_aj]
-            s ^= c
-        out.append(s)
-    return out
+    """S_j = v(alpha^j) for j = 1 .. 2t; all zero iff v is a codeword.
+
+    A raw sequence is checked like a ``Codeword``: the wrong length raises
+    ``LengthMismatchError`` and a symbol outside [0, q) ``ValueError``.
+    """
+    if not isinstance(received, Codeword):
+        received = Codeword(params, received)
+    f, symbols = params.field, received.symbols
+    return [f.poly_eval(symbols, f.alpha_pow(j)) for j in range(1, 2 * params.t + 1)]
 
 
 @dataclass
@@ -393,8 +371,7 @@ def decode(params: CodeParams, received) -> DecodeResult:
     in-range symbols never raises: beyond t errors the result is a flagged
     failure or a miscorrection to another valid codeword.
     """
-    symbols = _symbols_of(params, received)
-    word = Codeword(params, symbols)
+    word = Codeword(params, received)
     synd = syndromes(params, word)
     if not any(synd):
         return DecodeResult(corrected=word)
@@ -403,7 +380,7 @@ def decode(params: CodeParams, received) -> DecodeResult:
     failed = DecodeResult(corrected=word.copy(), failure=True)
 
     loc, length = _berlekamp_massey(f, synd)
-    if length > params.t or f.poly_deg(loc) != length:
+    if length > params.t or len(loc) - 1 != length:
         return failed
 
     # Chien scan: position i is in error iff loc(alpha^-i) = 0.
@@ -420,7 +397,7 @@ def decode(params: CodeParams, received) -> DecodeResult:
     for j in range(1, len(loc), 2):
         deriv[j - 1] = loc[j]
 
-    corrected = list(symbols)
+    corrected = list(word.symbols)
     magnitudes: dict[int, int] = {}
     for i in positions:
         x_inv = f.alpha_pow(-i)

@@ -13,6 +13,8 @@ channel's worst case.
 
 By default positions are drawn from the parity block only, keeping the
 visible data symbols untouched; pass pool="any" to allow every position.
+``check_key_request`` validates the pool and the position count, for a key
+and for an experiment config alike.
 Position selection is a pure function of (seed, geometry, count) via
 SplitMix64, so both endpoints derive the same key from a shared seed.
 """
@@ -47,6 +49,20 @@ def check_budget(params: CodeParams, stego_count: int, channel_symbols: int) -> 
         )
 
 
+def check_key_request(params: CodeParams, count: int, pool: str) -> int:
+    """Raise unless pool is "parity" or "any" and count >= 0; return the
+    number of positions in the pool."""
+    if pool == "parity":
+        size = params.n_parity
+    elif pool == "any":
+        size = params.n
+    else:
+        raise ValueError(f"pool must be 'parity' or 'any', got {pool!r}")
+    if count < 0:
+        raise ValueError(f"count must be non-negative, got {count}")
+    return size
+
+
 @dataclass(frozen=True)
 class StegoKey:
     """Shared secret: where the message symbols live inside a codeword."""
@@ -68,21 +84,14 @@ def derive_positions(
     is the parity block by default ("parity") or the whole codeword
     ("any").
     """
-    if pool == "parity":
-        pool_size = params.n_parity
-    elif pool == "any":
-        pool_size = params.n
-    else:
-        raise ValueError(f"pool must be 'parity' or 'any', got {pool!r}")
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    size = check_key_request(params, count, pool)
     # Both pools hold at least n - k >= t positions, so the draw terminates.
     check_budget(params, count, 0)
     rng = SplitMix64(seed)
     positions: list[int] = []
     seen = set()
     while len(positions) < count:
-        idx = rng.below(pool_size)
+        idx = rng.below(size)
         if idx not in seen:
             seen.add(idx)
             positions.append(idx)

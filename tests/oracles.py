@@ -67,7 +67,7 @@ def _poly_mul(field, a, b):
 def _poly_rem(field, a, b):
     a = list(a)
     db = len(b) - 1
-    inv_lead = field.inv(b[-1])
+    inv_lead = field.div(1, b[-1])
     for i in range(len(a) - 1, db - 1, -1):
         if a[i]:
             c = field.mul(a[i], inv_lead)
@@ -126,7 +126,7 @@ def _gauss_solve(field, rows, rhs):
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.inv(aug[col][col])
+        inv = field.div(1, aug[col][col])
         aug[col] = [field.mul(inv, x) for x in aug[col]]
         for r in range(size):
             if r != col and aug[r][col]:
@@ -149,16 +149,16 @@ def brute_force_decode(params, symbols):
         return list(symbols), {}
     for v in range(1, params.t + 1):
         for subset in combinations(range(params.n), v):
-            locs = [f.alpha_pow(i) for i in subset]
-            rows = [[f.pow(x, j) for x in locs] for j in range(1, v + 1)]
+            # position i is the locator alpha^i, so x^j = alpha^(i*j)
+            rows = [[f.alpha_pow(i * j) for i in subset] for j in range(1, v + 1)]
             mags = _gauss_solve(f, rows, synd[:v])
             if mags is None or any(y == 0 for y in mags):
                 continue
             ok = True
             for j in range(v + 1, 2 * params.t + 1):
                 s = 0
-                for x, y in zip(locs, mags):
-                    s ^= f.mul(y, f.pow(x, j))
+                for i, y in zip(subset, mags):
+                    s ^= f.mul(y, f.alpha_pow(i * j))
                 if s != synd[j - 1]:
                     ok = False
                     break
@@ -185,7 +185,7 @@ def cauchy_reference(params):
         for l in range(k):
             if l != i:
                 prod = f.mul(prod, x[i] ^ x[l])
-        u.append(f.inv(prod))
+        u.append(f.div(1, prod))
     v = []
     for yj in y:
         prod = 1

@@ -156,6 +156,13 @@ def test_cli_embed_reports_capacity(workdir, capsys):
     assert out == ["codewords=2", "residual_capacity=1"]
 
 
+def test_cli_extract_rejects_zero_stego_for_a_message(workdir, capsys):
+    rc, _ = _embed_extract(workdir, extract_args=["--stego", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --stego must be positive")
+    assert not (workdir / "msg.out").exists()
+
+
 def test_cli_empty_message(workdir, capsys):
     (workdir / "secret.bin").write_bytes(b"")
     rc, _ = _embed_extract(workdir)

@@ -31,6 +31,14 @@ def test_config_budget_validation(rs31):
         _single(rs31, stego_count=5, channel=ChannelSpec(mode="burst"))  # 5 + 2 > 6
 
 
+def test_config_rejects_bad_pool_and_count(rs31):
+    """Checked at construction, so even a zero-trial config cannot report."""
+    with pytest.raises(ValueError, match="pool"):
+        _single(rs31, pool="bogus", trials=0)
+    with pytest.raises(ValueError, match="non-negative"):
+        _single(rs31, stego_count=-1, trials=0)
+
+
 def test_noiseless_trials_perfect(rs31):
     config = _single(rs31, channel=ChannelSpec(mode="none"), trials=20)
     for trial in range(20):

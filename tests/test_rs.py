@@ -90,11 +90,11 @@ def test_codeword_length_checked(rs7):
 # Cauchy generator
 # ----------------------------------------------------------------------
 def test_cauchy_evaluation_points_rs7(rs7, gf8):
-    gen = build_cauchy(rs7)
-    assert gen.x[0] == gf8.alpha_pow(6)
-    assert gen.y[0] == gf8.alpha_pow(3)
-    assert gen.x == tuple(gf8.alpha_pow(6 - i) for i in range(3))
-    assert gen.y == tuple(gf8.alpha_pow(3 - j) for j in range(4))
+    """The matrix is the one built from x_i = alpha^(6-i), y_j = alpha^(3-j)."""
+    x, y, _, _, matrix = cauchy_reference(rs7)
+    assert x == [gf8.alpha_pow(6 - i) for i in range(3)]
+    assert y == [gf8.alpha_pow(3 - j) for j in range(4)]
+    assert build_cauchy(rs7).matrix == tuple(map(tuple, matrix))
 
 
 @pytest.mark.parametrize("fixture", ["rs7", "rs31"])
@@ -102,7 +102,7 @@ def test_cauchy_entries_nonzero(fixture, request):
     params = request.getfixturevalue(fixture)
     gen = build_cauchy(params)
     assert all(all(entry != 0 for entry in row) for row in gen.matrix)
-    assert not set(gen.x) & set(gen.y)
+    assert gen.matrix == tuple(map(tuple, cauchy_reference(params)[4]))
 
 
 def test_build_cauchy_cache_is_bounded_and_keyed_by_value():
@@ -129,10 +129,8 @@ ORACLE_GEOMETRIES = [
 @pytest.mark.parametrize("m, k", ORACLE_GEOMETRIES)
 def test_cauchy_and_encode_match_direct_references(m, k):
     params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
-    gen = build_cauchy(params)
-    x, y, u, v, matrix = cauchy_reference(params)
-    assert (gen.x, gen.y, gen.u, gen.v) == tuple(map(tuple, (x, y, u, v)))
-    assert gen.matrix == tuple(map(tuple, matrix))
+    matrix = cauchy_reference(params)[4]
+    assert build_cauchy(params).matrix == tuple(map(tuple, matrix))
     rnd = random.Random(m)
     q = 1 << m
     for data in ([q - 1] * k, *([rnd.randrange(q) for _ in range(k)] for _ in range(3))):
@@ -219,14 +217,16 @@ def test_syndromes_of_single_error(rs31, gf32):
         assert got == expect
 
 
-def test_syndromes_match_direct_sum_oracle(rs31):
+def test_syndromes_match_direct_sum_oracle(rs7, rs31):
     rnd = random.Random(37)
-    for _ in range(25):
-        data = [rnd.randrange(32) for _ in range(19)]
-        received = list(encode(rs31, data))
-        for pos in rnd.sample(range(31), rnd.randrange(0, 7)):
-            received[pos] ^= rnd.randrange(1, 32)
-        assert syndromes(rs31, received) == direct_syndromes(rs31, received)
+    for params in (rs7, rs31, CodeParams(field=GF2m(8), n=255, k=223)):
+        q = params.field.q
+        for _ in range(25):
+            data = [rnd.randrange(q) for _ in range(params.k)]
+            received = list(encode(params, data))
+            for pos in rnd.sample(range(params.n), rnd.randrange(0, params.t + 1)):
+                received[pos] ^= rnd.randrange(1, q)
+            assert syndromes(params, received) == direct_syndromes(params, received)
 
 
 # ----------------------------------------------------------------------
@@ -314,11 +314,13 @@ def test_decode_agrees_with_brute_force_on_garbage(rs7):
 
 
 def test_decode_rejects_malformed_words(rs7):
-    with pytest.raises(LengthMismatchError):
-        decode(rs7, [0] * 6)
-    for bad in (8, -1):
-        with pytest.raises(ValueError, match="outside"):
-            decode(rs7, [0] * 6 + [bad])
+    for check in (decode, syndromes):
+        with pytest.raises(LengthMismatchError):
+            check(rs7, [0] * 6)
+        for bad in (8, -1):
+            for word in ([0] * 6 + [bad], [bad] + [0] * 6):
+                with pytest.raises(ValueError, match="outside"):
+                    check(rs7, word)
 
 
 @pytest.mark.parametrize("fixture, words", [("rs7", 3000), ("rs31", 500)])
