@@ -87,6 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # embed / extract
 # ----------------------------------------------------------------------
+def _check_stego(stego: int, message_symbols: int) -> None:
+    """Raise unless --stego symbols per codeword can carry the message."""
+    if stego < 0:
+        raise ValueError(f"--stego must be non-negative, got {stego}")
+    if stego == 0 and message_symbols:
+        raise ValueError("--stego must be positive to carry a non-empty message")
+
+
 def cmd_embed(args) -> int:
     params = CodeParams(field=GF2m(args.m), n=args.n, k=args.k)
     m, k, c = args.m, args.k, args.stego
@@ -95,8 +103,7 @@ def cmd_embed(args) -> int:
 
     data_syms = bytes_to_symbols(data_bytes, m)
     msg_syms = bytes_to_symbols(msg_bytes, m)
-    if c <= 0 and msg_syms:
-        raise ValueError("--stego must be positive to embed a non-empty message")
+    _check_stego(c, len(msg_syms))
     num_cw = max(
         -(-len(data_syms) // k),
         -(-len(msg_syms) // c) if c > 0 else 0,
@@ -124,8 +131,7 @@ def cmd_extract(args) -> int:
     seed = cont.seed if args.seed is None else args.seed
 
     msg_sym_total = (cont.message_len * 8 + cont.m - 1) // cont.m
-    if c <= 0 and msg_sym_total:
-        raise ValueError("--stego must be positive to extract a non-empty message")
+    _check_stego(c, msg_sym_total)
     needed_cw = -(-msg_sym_total // c) if msg_sym_total else 0
     if needed_cw > cont.num_codewords:
         raise CorruptHeaderError(

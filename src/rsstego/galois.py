@@ -11,8 +11,8 @@ tables cost 2 * 2^m ints of memory, which is why m is capped at 16.
 Polynomials over the field are lists of ints, index = power of x, with no
 trailing zeros; the zero polynomial is the empty list.  The codec needs
 three operations on them: ``poly_trim``, ``poly_mul`` and the Horner
-evaluation ``poly_eval``, which computes syndromes and runs the Chien and
-Forney steps.
+evaluation ``poly_eval``, which computes the syndromes and the Forney
+values (the Chien scan sums the locator's terms in logs instead).
 """
 
 from __future__ import annotations

@@ -47,6 +47,15 @@ the error positions, and Forney's formula for the magnitudes.  Syndromes of
 the corrected word are re-checked, so a claimed success is always a valid
 codeword; beyond t errors the result is either a flagged failure or a
 miscorrection to some other valid codeword.
+
+The syndromes come from the parity remainder.  Re-encoding the received
+data block with the encoder tables gives a codeword c, and the remainder
+e = r + c is zero on the data positions.  Syndromes are linear and vanish
+on codewords, so S_j(r) = S_j(e): the 2t Horner passes run over the n - k
+parity positions instead of all n.  The Chien scan stays in the log
+domain: with the locator's nonzero terms kept as (log c_j, j), position i
+is in error iff the XOR of alpha^(log c_j - i*j) over those terms is zero,
+one table lookup per term and position and no multiplication.
 """
 
 from __future__ import annotations
@@ -161,12 +170,14 @@ class Codeword:
 
     @property
     def data(self) -> list[int]:
-        """Data symbols in vector order (d_0 first)."""
-        return [self.symbols[p] for p in self.params.data_positions]
+        """Data symbols in vector order (d_0 first): positions n-1 down to n-k."""
+        p = self.params
+        return self.symbols[p.n - 1:p.n_parity - 1:-1]
 
     @property
     def parity(self) -> list[int]:
-        return [self.symbols[p] for p in self.params.parity_positions]
+        """Parity symbols in vector order: positions n-k-1 down to 0."""
+        return self.symbols[self.params.n_parity - 1::-1]
 
     def copy(self) -> "Codeword":
         return Codeword(self.params, self.symbols)
@@ -228,8 +239,9 @@ class CauchyGenerator:
         (b << (c * chunk_bits)) * matrix[i][j] for chunk c of the data
         bits, parity symbol j in lane j.  Multiplying by a constant is
         GF(2)-linear, so data symbol d contributes the XOR of one entry per
-        chunk of its bits.  Built on first use, so a generator that only
-        answers set-up or decode questions never pays for it.
+        chunk of its bits.  Built on first use by ``encode`` or
+        ``syndromes``, so a generator that only answers set-up questions
+        never pays for it.
         """
         f = self.field
         m, width, pack = f.m, self.chunk_bits, self.lanes.pack
@@ -291,7 +303,16 @@ def encode(params: CodeParams, data: Sequence[int]) -> Codeword:
     for d in data:
         if not 0 <= d < q:
             raise ValueError(f"data symbol {d} outside GF({q})")
-    gen = build_cauchy(params)
+    return Codeword(params, [*_parity(build_cauchy(params), data), *reversed(data)])
+
+
+def _parity(gen: CauchyGenerator, data: Iterable[int]) -> tuple[int, ...]:
+    """Parity block of k in-range data symbols, in position order 0 .. n-k-1.
+
+    XORs one table entry per chunk of each data symbol's bits, then splits
+    the packed vector into lanes; lane n-k-1 comes first, and parity symbol
+    j sits at position n-k-1-j.
+    """
     width = gen.chunk_bits
     mask = (1 << width) - 1
     acc = 0
@@ -302,9 +323,7 @@ def encode(params: CodeParams, data: Sequence[int]) -> Codeword:
             d >>= width
             offset += mask + 1
     lanes = gen.lanes
-    parity = lanes.unpack(acc.to_bytes(lanes.size, "big"))
-    # Lane n-k-1 comes first, and parity symbol j sits at position n-k-1-j.
-    return Codeword(params, [*parity, *reversed(data)])
+    return lanes.unpack(acc.to_bytes(lanes.size, "big"))
 
 
 # ----------------------------------------------------------------------
@@ -313,13 +332,18 @@ def encode(params: CodeParams, data: Sequence[int]) -> Codeword:
 def syndromes(params: CodeParams, received) -> list[int]:
     """S_j = v(alpha^j) for j = 1 .. 2t; all zero iff v is a codeword.
 
-    A raw sequence is checked like a ``Codeword``: the wrong length raises
-    ``LengthMismatchError`` and a symbol outside [0, q) ``ValueError``.
+    Computed from the parity remainder (see the module docstring), so the
+    first call for a geometry builds the encoder tables of its cached
+    generator, as ``encode`` does.  A raw sequence is checked like a
+    ``Codeword``: the wrong length raises ``LengthMismatchError`` and a
+    symbol outside [0, q) ``ValueError``.
     """
     if not isinstance(received, Codeword):
         received = Codeword(params, received)
     f, symbols = params.field, received.symbols
-    return [f.poly_eval(symbols, f.alpha_pow(j)) for j in range(1, 2 * params.t + 1)]
+    parity = _parity(build_cauchy(params), received.data)
+    remainder = [a ^ b for a, b in zip(parity, symbols)]
+    return [f.poly_eval(remainder, f.alpha_pow(j)) for j in range(1, 2 * params.t + 1)]
 
 
 @dataclass
@@ -377,16 +401,23 @@ def decode(params: CodeParams, received) -> DecodeResult:
         return DecodeResult(corrected=word)
 
     f = params.field
-    failed = DecodeResult(corrected=word.copy(), failure=True)
+    failed = DecodeResult(corrected=word, failure=True)
 
     loc, length = _berlekamp_massey(f, synd)
     if length > params.t or len(loc) - 1 != length:
         return failed
 
-    # Chien scan: position i is in error iff loc(alpha^-i) = 0.
-    positions = [
-        i for i in range(params.n) if f.poly_eval(loc, f.alpha_pow(-i)) == 0
-    ]
+    # Chien scan: position i is in error iff loc(alpha^-i) = 0, summed in
+    # the log domain over the locator's nonzero terms c_j x^j.
+    n, exp, log = params.n, f._exp, f._log
+    terms = [(log[c], j) for j, c in enumerate(loc) if c]
+    positions = []
+    for i in range(n):
+        value = 0
+        for log_c, j in terms:
+            value ^= exp[(log_c - i * j) % n]
+        if not value:
+            positions.append(i)
     if len(positions) != length:
         return failed
 

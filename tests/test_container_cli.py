@@ -163,6 +163,31 @@ def test_cli_extract_rejects_zero_stego_for_a_message(workdir, capsys):
     assert not (workdir / "msg.out").exists()
 
 
+def test_cli_embed_rejects_negative_stego(workdir, capsys):
+    (workdir / "secret.bin").write_bytes(b"")
+    rc = main([
+        "embed", "--data", str(workdir / "cover.bin"),
+        "--message", str(workdir / "secret.bin"),
+        "--out", str(workdir / "out.rss"), "--stego", "-1",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --stego must be non-negative, got -1\n"
+    assert not (workdir / "out.rss").exists()
+
+
+@pytest.mark.parametrize("carrier", [b"", bytes(range(64))], ids=["empty", "64-bytes"])
+def test_cli_extract_rejects_negative_stego(workdir, capsys, carrier):
+    # An empty carrier and message make a container of zero codewords.
+    (workdir / "cover.bin").write_bytes(carrier)
+    (workdir / "secret.bin").write_bytes(b"")
+    rc, _ = _embed_extract(workdir, extract_args=["--stego", "-1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: --stego must be non-negative, got -1\n"
+    assert not (workdir / "data.out").exists()
+
+
 def test_cli_empty_message(workdir, capsys):
     (workdir / "secret.bin").write_bytes(b"")
     rc, _ = _embed_extract(workdir)

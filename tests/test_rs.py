@@ -77,6 +77,14 @@ def test_layout_accessors(rs7):
     assert list(rs7.data_range) == [4, 5, 6]
     assert rs7.data_positions == (6, 5, 4)
     assert rs7.parity_positions == (3, 2, 1, 0)
+    rnd = random.Random(2)
+    for m in range(2, 9):
+        n = (1 << m) - 1
+        for k in sorted({1, n // 2, n - 2}):
+            params = CodeParams(field=GF2m(m), n=n, k=k)
+            word = Codeword(params, [rnd.randrange(n + 1) for _ in range(n)])
+            assert word.data == [word.symbols[p] for p in params.data_positions]
+            assert word.parity == [word.symbols[p] for p in params.parity_positions]
 
 
 def test_codeword_length_checked(rs7):
@@ -229,6 +237,27 @@ def test_syndromes_match_direct_sum_oracle(rs7, rs31):
             assert syndromes(params, received) == direct_syndromes(params, received)
 
 
+# Two geometries per m where the field allows: t = 1, and t = m, which from
+# m = 4 on leaves an odd number n-k = 2m+1 of parity symbols (m = 3 gives
+# RS(7,1)).  m = 2 has only RS(3,1), whose data slice stops at n-k = 2.
+RANDOM_WORD_GEOMETRIES = [
+    (m, k) for m in range(2, 11)
+    for k in sorted({(1 << m) - 3, max(1, (1 << m) - 2 - 2 * m)})
+]
+
+
+@pytest.mark.parametrize("m, k", RANDOM_WORD_GEOMETRIES)
+def test_syndromes_of_random_words_match_direct_sum_oracle(m, k):
+    """Uniform in-range words, far from any codeword as a rule."""
+    params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
+    rnd = random.Random(1000 * m + k)
+    q = params.field.q
+    words = [[q - 1] * params.n, *([rnd.randrange(q) for _ in range(params.n)]
+                                   for _ in range(5))]
+    for received in words:
+        assert syndromes(params, received) == direct_syndromes(params, received)
+
+
 # ----------------------------------------------------------------------
 # decoder
 # ----------------------------------------------------------------------
@@ -250,6 +279,62 @@ def test_decode_single_flip(rs31):
     assert result.corrected == word
     assert result.error_positions == (11,)
     assert result.error_magnitudes == {11: 21}
+
+
+def test_decode_builds_two_codewords_for_one_error(rs31, monkeypatch):
+    """The received word and the corrected one; no defensive copy."""
+    word = encode(rs31, list(range(19)))
+    received = list(word)
+    received[11] ^= 21
+    calls = []
+    init = Codeword.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Codeword, "__init__", counting_init)
+    result = decode(rs31, received)
+    assert result.corrected == word
+    assert len(calls) == 2
+
+
+def test_decode_failure_returns_the_received_word(rs7):
+    rnd = random.Random(61)
+    failures = 0
+    for _ in range(200):
+        received = [rnd.randrange(8) for _ in range(7)]
+        result = decode(rs7, received)
+        if result.failure:
+            failures += 1
+            assert result.corrected.symbols == received
+            assert (result.error_positions, result.error_magnitudes) == ((), {})
+    assert failures
+
+
+# One geometry per m = 3..11 with t = m - 1 (RS(7,3) up to RS(2047,2027)).
+@pytest.mark.parametrize("m", range(3, 12))
+def test_decode_returns_exact_error_patterns(m):
+    n = (1 << m) - 1
+    t = m - 1
+    params = CodeParams(field=GF2m(m), n=n, k=n - 2 * t)
+    rnd = random.Random(70 + m)
+    q = params.field.q
+    # Both ends of the codeword and of the parity/data boundary, then
+    # random patterns of every weight up to t.
+    patterns = [[0, n - 1, params.n_parity - 1, params.n_parity][:t]]
+    patterns += [rnd.sample(range(n), weight) for weight in range(t + 1)]
+    for positions in patterns:
+        word = encode(params, [rnd.randrange(q) for _ in range(params.k)])
+        received = list(word)
+        magnitudes = {p: rnd.randrange(1, q) for p in positions}
+        for p, y in magnitudes.items():
+            received[p] ^= y
+        result = decode(params, received)
+        assert not result.failure
+        assert result.corrected == word
+        assert result.error_positions == tuple(sorted(positions))
+        assert result.error_magnitudes == magnitudes
 
 
 def test_decode_all_double_errors_rs7(rs7):
