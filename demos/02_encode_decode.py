@@ -10,15 +10,15 @@ from rsstego import CodeParams, GF2m, build_cauchy, decode, encode, syndromes
 params = CodeParams(field=GF2m(3), n=7, k=3)
 print(f"RS({params.n},{params.k}) over GF({params.field.q}): "
       f"t = {params.t} correctable symbols")
-print(f"parity block at positions {list(params.parity_range)}, "
-      f"data block at {list(params.data_range)}")
-print(f"data symbol i lives at position n-1-i: {params.data_positions}\n")
+n, k = params.n, params.k
+print(f"parity block at positions {list(range(n - k))}, "
+      f"data block at {list(range(n - k, n))}")
+print(f"data symbol i lives at position n-1-i: {tuple(n - 1 - i for i in range(k))}\n")
 
 gen = build_cauchy(params)
 print("The systematic generator is a Cauchy matrix A (parity = data x A):")
 for row in gen.matrix:
     print(f"  {list(row)}")
-n, k = params.n, params.k
 x = [params.field.alpha_pow(n - 1 - i) for i in range(k)]
 y = [params.field.alpha_pow(n - 1 - k - j) for j in range(n - k)]
 print(f"built from points x = {x} (data) and y = {y} (parity)\n")

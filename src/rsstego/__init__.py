@@ -40,8 +40,6 @@ from .rs import (
     build_cauchy,
     decode,
     encode,
-    hamming_distance,
-    hamming_weight,
     syndromes,
 )
 from .stego import (
@@ -88,8 +86,6 @@ __all__ = [
     "export_report",
     "extract",
     "fork",
-    "hamming_distance",
-    "hamming_weight",
     "max_affected_symbols",
     "mix64",
     "pack_container",

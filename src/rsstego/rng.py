@@ -11,8 +11,10 @@ The scheme, fixed here for interoperability:
   i = 1, 2, ... (the state advances by the 64-bit golden ratio).
 * Substream ``i`` of seed ``s`` is a new stream seeded with
   ``fork(s, i) = mix64(s + (i + 1) * GOLDEN)``.
-* A bounded draw is ``next_u64() % bound`` (the modulo bias is below
-  2^-48 for every bound used here).
+* A bounded draw is ``next_u64() % bound``, whose modulo bias is below
+  bound / 2^64.  A power-of-two bound up to 2^64 has none; every other
+  bound used here is at most n*m = 1,048,560 < 2^20 (``single_bit`` at
+  m = 16), so its bias is below 2^-44.
 """
 
 from __future__ import annotations

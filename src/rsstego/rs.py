@@ -1,11 +1,11 @@
-"""Systematic Reed-Solomon codec over GF(2^m), plus Hamming utilities.
+"""Systematic Reed-Solomon codec over GF(2^m).
 
 The code has length n = q - 1 and corrects t = (n - k) // 2 symbol errors.
 A codeword stores its parity block in positions [0, n-k) and its data block
 in positions [n-k, n), with the vectors indexed from the top: data symbol i
-sits at position n-1-i and parity symbol j at position n-k-1-j.  Use the
-``data_positions`` / ``parity_positions`` accessors rather than hard-coding
-that layout.
+sits at position n-1-i and parity symbol j at position n-k-1-j.
+``Codeword.data`` and ``Codeword.parity`` are the one definition of that
+layout; read the blocks through them rather than hard-coding positions.
 
 Encoding is parity = data x A for a k x (n-k) Cauchy matrix
 
@@ -77,21 +77,6 @@ class DegenerateParamsError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# Hamming utilities
-# ----------------------------------------------------------------------
-def hamming_weight(x: Iterable) -> int:
-    """Number of nonzero entries."""
-    return sum(1 for a in x if a != 0)
-
-
-def hamming_distance(x: Sequence, y: Sequence) -> int:
-    """Number of positions in which two equal-length sequences differ."""
-    if len(x) != len(y):
-        raise LengthMismatchError(f"length mismatch: {len(x)} != {len(y)}")
-    return sum(1 for a, b in zip(x, y) if a != b)
-
-
-# ----------------------------------------------------------------------
 # code geometry
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
@@ -121,33 +106,8 @@ class CodeParams:
 
     @property
     def n_parity(self) -> int:
+        """Length of the parity block, which fills positions [0, n - k)."""
         return self.n - self.k
-
-    @property
-    def data_range(self) -> range:
-        """Positions of the data block."""
-        return range(self.n - self.k, self.n)
-
-    @property
-    def parity_range(self) -> range:
-        """Positions of the parity block."""
-        return range(0, self.n - self.k)
-
-    def data_position(self, i: int) -> int:
-        """Codeword position of data symbol i (data is indexed from the top)."""
-        return self.n - 1 - i
-
-    def parity_position(self, j: int) -> int:
-        """Codeword position of parity symbol j."""
-        return self.n - self.k - 1 - j
-
-    @property
-    def data_positions(self) -> tuple[int, ...]:
-        return tuple(self.data_position(i) for i in range(self.k))
-
-    @property
-    def parity_positions(self) -> tuple[int, ...]:
-        return tuple(self.parity_position(j) for j in range(self.n - self.k))
 
 
 class Codeword:
@@ -334,11 +294,13 @@ def syndromes(params: CodeParams, received) -> list[int]:
 
     Computed from the parity remainder (see the module docstring), so the
     first call for a geometry builds the encoder tables of its cached
-    generator, as ``encode`` does.  A raw sequence is checked like a
-    ``Codeword``: the wrong length raises ``LengthMismatchError`` and a
-    symbol outside [0, q) ``ValueError``.
+    generator, as ``encode`` does.  A raw sequence, or a ``Codeword`` of
+    another geometry, is checked like a new ``Codeword``: the wrong length
+    raises ``LengthMismatchError`` and a symbol outside [0, q) ``ValueError``.
     """
-    if not isinstance(received, Codeword):
+    if not isinstance(received, Codeword) or (
+        received.params is not params and received.params != params
+    ):
         received = Codeword(params, received)
     f, symbols = params.field, received.symbols
     parity = _parity(build_cauchy(params), received.data)

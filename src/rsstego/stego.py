@@ -9,7 +9,8 @@ corrupts that message symbol) and decodes the rest normally.
 
 ``check_budget`` is the one check of that invariant: keys and embeddings
 refuse more than t substitutions, and an experiment also reserves its
-channel's worst case.
+channel's worst case.  ``check_key`` is the one check of a key against a
+geometry, run by ``embed`` and ``extract`` alike.
 
 By default positions are drawn from the parity block only, keeping the
 visible data symbols untouched; pass pool="any" to allow every position.
@@ -74,6 +75,17 @@ class StegoKey:
         return len(self.positions)
 
 
+def check_key(params: CodeParams, key: StegoKey) -> None:
+    """Raise unless the key's positions are distinct, lie in [0, n) and
+    stay within the stego budget."""
+    if len(set(key.positions)) != len(key.positions):
+        raise ValueError("stego positions must be distinct")
+    for pos in key.positions:
+        if not 0 <= pos < params.n:
+            raise ValueError(f"position {pos} outside [0, {params.n})")
+    check_budget(params, len(key.positions), 0)
+
+
 def derive_positions(
     params: CodeParams, seed: int, count: int, *, pool: str = "parity"
 ) -> StegoKey:
@@ -110,14 +122,10 @@ def embed(clean: Codeword, key: StegoKey, message: SecretMessage) -> Codeword:
         raise LengthMismatchError(
             f"message has {len(message)} symbols for {len(key.positions)} positions"
         )
-    if len(set(key.positions)) != len(key.positions):
-        raise ValueError("stego positions must be distinct")
-    check_budget(params, len(key.positions), 0)
+    check_key(params, key)
     q = params.field.q
     symbols = list(clean.symbols)
     for pos, sym in zip(key.positions, message):
-        if not 0 <= pos < params.n:
-            raise ValueError(f"position {pos} outside [0, {params.n})")
         if not 0 <= sym < q:
             raise ValueError(f"message symbol {sym} outside GF({q})")
         symbols[pos] = sym
@@ -135,10 +143,12 @@ def extract(received: Codeword, key: StegoKey, params: CodeParams) -> ExtractRes
 
     The message symbols are the received (pre-correction) values, so a
     channel error on a stego position corrupts that message symbol even
-    though the carrier data still decodes.
+    though the carrier data still decodes.  The key is checked as
+    ``embed`` checks it.
     """
-    message = [received.symbols[p] for p in key.positions]
+    check_key(params, key)
     diagnostics = decode(params, received)
+    message = [received.symbols[p] for p in key.positions]
     return ExtractResult(
         data=diagnostics.corrected.data,
         message=message,

@@ -6,10 +6,45 @@ decoder enumerates error-position subsets and solves the syndrome system
 by Gaussian elimination instead of Berlekamp-Massey.  The Cauchy, encoder
 and bit-packing references are the direct formulations the library
 replaced with faster ones: the O(k^2) Lagrange product for u_i, one field
-multiplication per matrix entry, and one big int per byte string.
+multiplication per matrix entry, and one big int per byte string.  The
+codeword layout is stated position by position, the Hamming metric lives
+here because only tests use it, and the expected ``%DS_M`` of a channel is
+an exact sum over its noise events.
 """
 
+from fractions import Fraction
 from itertools import combinations
+from typing import Iterable, Sequence
+
+from rsstego import LengthMismatchError
+
+
+# ----------------------------------------------------------------------
+# Hamming utilities
+# ----------------------------------------------------------------------
+def hamming_weight(x: Iterable) -> int:
+    """Number of nonzero entries."""
+    return sum(1 for a in x if a != 0)
+
+
+def hamming_distance(x: Sequence, y: Sequence) -> int:
+    """Number of positions in which two equal-length sequences differ."""
+    if len(x) != len(y):
+        raise LengthMismatchError(f"length mismatch: {len(x)} != {len(y)}")
+    return sum(1 for a, b in zip(x, y) if a != b)
+
+
+# ----------------------------------------------------------------------
+# codeword layout, position by position
+# ----------------------------------------------------------------------
+def data_positions(params):
+    """Codeword position of each data symbol: d_i sits at n-1-i."""
+    return tuple(params.n - 1 - i for i in range(params.k))
+
+
+def parity_positions(params):
+    """Codeword position of each parity symbol: p_j sits at n-k-1-j."""
+    return tuple(params.n - params.k - 1 - j for j in range(params.n - params.k))
 
 
 # ----------------------------------------------------------------------
@@ -224,3 +259,43 @@ def bigint_to_symbols(data, m, count):
     acc = int.from_bytes(data, "big")
     acc = acc << shift if shift >= 0 else acc >> -shift
     return [(acc >> (m * (count - 1 - i))) & ((1 << m) - 1) for i in range(count)]
+
+
+# ----------------------------------------------------------------------
+# exact expected %DS_M
+# ----------------------------------------------------------------------
+def _noise_events(params, channel):
+    """(probability, affected positions) for every noise event."""
+    n, m = params.n, params.field.m
+    if channel.mode == "none":
+        return [(Fraction(1), ())]
+    if channel.mode in ("single_symbol", "single_bit"):
+        return [(Fraction(1, n), (pos,)) for pos in range(n)]
+    w = channel.burst_bits
+    offsets = n * m - w + 1
+    weight = Fraction(1, offsets * ((1 << w) - 1))
+    events = []
+    for offset in range(offsets):
+        for pattern in range(1, 1 << w):
+            flipped = [offset + r for r in range(w) if pattern >> (w - 1 - r) & 1]
+            events.append((weight, tuple({bit // m for bit in flipped})))
+    return events
+
+
+def expected_pct_decoded_secret(params, channel, pool):
+    """Exact long-run %DS_M of a budget-respecting experiment.
+
+    The data always decodes, and a message symbol is lost iff the noise
+    event changes its position.  A uniform key of any size puts each pool
+    position under a given message symbol with probability 1/|pool|, so
+    the expected loss is the mean over the pool of P(position affected),
+    whatever the stego count.
+    """
+    pool_positions = set(
+        parity_positions(params) if pool == "parity" else range(params.n)
+    )
+    lost = sum(
+        p * len(pool_positions.intersection(affected))
+        for p, affected in _noise_events(params, channel)
+    )
+    return 100 * (1 - lost / len(pool_positions))

@@ -15,15 +15,16 @@ from rsstego import (
     embed,
     encode,
     extract,
-    hamming_distance,
-    hamming_weight,
     run_experiment,
     syndromes,
 )
 from rsstego.cli import main
-from oracles import remainder_encode
-
-SINGLE_EXPECTATION = 100 * (1 - (1 / 31) * (30 / 31))  # stated closed form, ~96.88
+from oracles import (
+    expected_pct_decoded_secret,
+    hamming_distance,
+    hamming_weight,
+    remainder_encode,
+)
 
 
 def _report(num: int, desc: str, ok: bool):
@@ -51,6 +52,8 @@ def test_criterion_1_single_error_all_data_decodes(rs31):
 
 
 def test_criterion_2_single_error_secret_rate(rs31):
+    expectation = float(expected_pct_decoded_secret(
+        rs31, ChannelSpec(mode="single_symbol"), "parity"))  # 3000/31
     in_band = []
     for seed in (0, 1, 7, 42, 123):
         report = _experiment(rs31, "single_symbol", 100, seed)
@@ -58,34 +61,11 @@ def test_criterion_2_single_error_secret_rate(rs31):
     deviations = []
     for seed in (0, 7):
         report = _experiment(rs31, "single_symbol", 10000, seed)
-        deviations.append(abs(report.pct_decoded_secret - SINGLE_EXPECTATION))
+        deviations.append(abs(report.pct_decoded_secret - expectation))
     _report(2, f"%DS_M in [93,100] across 5 seeds at 100 trials; "
-               f"10k-trial deviations from {SINGLE_EXPECTATION:.2f}: "
+               f"10k-trial deviations from {expectation:.2f}: "
                f"{[round(d, 3) for d in deviations]}",
             all(in_band) and all(d <= 1.0 for d in deviations))
-
-
-def _burst_secret_oracle(samples: int, seed: int) -> float:
-    """Independent Monte-Carlo model of the burst experiment's %DS_M.
-
-    Two distinct stego positions from the 12-symbol parity block, a 6-bit
-    window at a uniform offset of the 155-bit codeword, a uniform nonzero
-    flip pattern; a message symbol is lost iff a flipped bit lands in it.
-    """
-    rnd = random.Random(seed)
-    ok = total = 0
-    for _ in range(samples):
-        s1 = rnd.randrange(12)
-        s2 = rnd.randrange(12)
-        while s2 == s1:
-            s2 = rnd.randrange(12)
-        offset = rnd.randrange(150)
-        pattern = rnd.randrange(1, 64)
-        flipped = {offset + r for r in range(6) if (pattern >> (5 - r)) & 1}
-        for s in (s1, s2):
-            total += 1
-            ok += not (flipped & set(range(5 * s, 5 * s + 5)))
-    return 100 * ok / total
 
 
 def test_criterion_3_burst_error_rates(rs31):
@@ -95,7 +75,7 @@ def test_criterion_3_burst_error_rates(rs31):
         info_ok.append(report.pct_decoded_info == 100.0)
         band_ok.append(92.0 <= report.pct_decoded_secret <= 100.0)
     big = _experiment(rs31, "burst", 10000, seed=0)
-    oracle = _burst_secret_oracle(400000, seed=2026)
+    oracle = float(expected_pct_decoded_secret(rs31, ChannelSpec(mode="burst"), "parity"))
     deviation = abs(big.pct_decoded_secret - oracle)
     _report(3, f"burst %D_i=100 and %DS_M in [92,100] across 3 seeds; "
                f"10k-trial %DS_M={big.pct_decoded_secret} vs oracle "

@@ -10,9 +10,9 @@ from rsstego import (
     apply_noise,
     encode,
     fork,
-    hamming_distance,
     max_affected_symbols,
 )
+from oracles import hamming_distance
 
 CHI2_999_DF30 = 59.7031  # chi-square 99.9% critical value, 30 dof
 

@@ -1,5 +1,6 @@
 """Experiment pipeline: per-trial behavior, aggregation, CSV export."""
 
+import math
 
 import pytest
 
@@ -11,8 +12,10 @@ from rsstego import (
     run_experiment,
     run_trial,
 )
+from oracles import expected_pct_decoded_secret
 
 CHI2_999_DF30 = 59.7031
+Z_999 = 3.2905  # two-sided 99.9% normal quantile
 
 
 def _single(rs31, **kw):
@@ -97,6 +100,30 @@ def test_single_mode_secret_rate_in_band(rs31):
     assert report.pct_decoded_secret_trials <= report.pct_decoded_secret
 
 
+def _wilson(mean: float, n: int) -> tuple[float, float]:
+    """99.9% Wilson score interval for a mean of n independent values in [0, 1]."""
+    z = Z_999
+    denom = 1 + z * z / n
+    centre = (mean + z * z / (2 * n)) / denom
+    half = z / denom * math.sqrt(mean * (1 - mean) / n + z * z / (4 * n * n))
+    return centre - half, centre + half
+
+
+@pytest.mark.parametrize("pool", ["parity", "any"])
+@pytest.mark.parametrize("mode", ["single_symbol", "single_bit", "burst"])
+def test_secret_rate_matches_exact_expectation(rs31, mode, pool):
+    """The per-trial mean of the two message symbols has variance at most
+    mu(1 - mu), so the interval counts trials, not symbols."""
+    channel = ChannelSpec(mode=mode)
+    trials = 2000
+    report = run_experiment(_single(rs31, channel=channel, pool=pool,
+                                    trials=trials, master_seed=11))
+    assert report.pct_decoded_info == 100.0
+    low, high = _wilson(report.pct_decoded_secret / 100, trials)
+    exact = expected_pct_decoded_secret(rs31, channel, pool) / 100
+    assert low <= exact <= high
+
+
 def test_error_histogram_flat_at_10k(rs31):
     report = run_experiment(_single(rs31, master_seed=6, trials=10000))
     hist = report.error_location_hist
@@ -111,14 +138,14 @@ def test_stego_histogram_counts(rs31):
     hist = report.stego_location_hist
     assert sum(hist) == 1000  # 2 positions per trial
     # parity pool only: no mass on data positions
-    assert all(hist[p] == 0 for p in rs31.data_range)
-    assert all(hist[p] > 0 for p in rs31.parity_range)
+    assert all(hist[p] == 0 for p in range(rs31.n_parity, rs31.n))
+    assert all(hist[p] > 0 for p in range(rs31.n_parity))
 
 
 def test_pool_any_spreads_over_whole_codeword(rs31):
     config = _single(rs31, pool="any", trials=500, master_seed=3)
     hist = run_experiment(config).stego_location_hist
-    assert sum(hist[p] for p in rs31.data_range) > 0
+    assert sum(hist[p] for p in range(rs31.n_parity, rs31.n)) > 0
 
 
 def test_zero_trials_report(rs31, tmp_path):

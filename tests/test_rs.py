@@ -14,14 +14,16 @@ from rsstego import (
     build_cauchy,
     decode,
     encode,
-    hamming_distance,
-    hamming_weight,
     syndromes,
 )
 from oracles import (
     brute_force_decode,
     cauchy_reference,
+    data_positions,
     direct_syndromes,
+    hamming_distance,
+    hamming_weight,
+    parity_positions,
     remainder_encode,
     scalar_encode,
 )
@@ -73,18 +75,17 @@ def test_params_validation(gf8):
 
 def test_layout_accessors(rs7):
     assert rs7.t == 2
-    assert list(rs7.parity_range) == [0, 1, 2, 3]
-    assert list(rs7.data_range) == [4, 5, 6]
-    assert rs7.data_positions == (6, 5, 4)
-    assert rs7.parity_positions == (3, 2, 1, 0)
+    assert rs7.n_parity == 4
+    assert data_positions(rs7) == (6, 5, 4)
+    assert parity_positions(rs7) == (3, 2, 1, 0)
     rnd = random.Random(2)
     for m in range(2, 9):
         n = (1 << m) - 1
         for k in sorted({1, n // 2, n - 2}):
             params = CodeParams(field=GF2m(m), n=n, k=k)
             word = Codeword(params, [rnd.randrange(n + 1) for _ in range(n)])
-            assert word.data == [word.symbols[p] for p in params.data_positions]
-            assert word.parity == [word.symbols[p] for p in params.parity_positions]
+            assert word.data == [word.symbols[p] for p in data_positions(params)]
+            assert word.parity == [word.symbols[p] for p in parity_positions(params)]
 
 
 def test_codeword_length_checked(rs7):
@@ -169,7 +170,8 @@ def test_encode_is_systematic(rs31):
     data = [rnd.randrange(32) for _ in range(19)]
     word = encode(rs31, data)
     assert word.data == data
-    assert [word.symbols[p] for p in rs31.data_positions] == data
+    assert [word.symbols[p] for p in data_positions(rs31)] == data
+    assert word.parity == [word.symbols[p] for p in parity_positions(rs31)]
 
 
 def test_encode_linearity(rs7, gf8):
@@ -398,10 +400,14 @@ def test_decode_agrees_with_brute_force_on_garbage(rs7):
             assert result.error_magnitudes == magnitudes
 
 
-def test_decode_rejects_malformed_words(rs7):
+def test_decode_rejects_malformed_words(rs7, rs31):
+    """A Codeword of another geometry is checked like a raw sequence."""
     for check in (decode, syndromes):
         with pytest.raises(LengthMismatchError):
             check(rs7, [0] * 6)
+        for data in ([0] * 19, list(range(19))):
+            with pytest.raises(LengthMismatchError):
+                check(rs7, encode(rs31, data))
         for bad in (8, -1):
             for word in ([0] * 6 + [bad], [bad] + [0] * 6):
                 with pytest.raises(ValueError, match="outside"):

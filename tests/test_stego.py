@@ -41,7 +41,7 @@ def test_derive_positions_distinct_and_in_pool(rs31):
     for seed in range(50):
         key = derive_positions(rs31, seed=seed, count=6)
         assert len(set(key.positions)) == 6
-        assert all(p in rs31.parity_range for p in key.positions)
+        assert all(p in range(rs31.n_parity) for p in key.positions)
         key = derive_positions(rs31, seed=seed, count=6, pool="any")
         assert all(0 <= p < 31 for p in key.positions)
 
@@ -56,6 +56,22 @@ def test_budget_enforced(rs31):
     embed(word, StegoKey(tuple(range(6))), [1] * 6)
     with pytest.raises(BudgetExceededError):
         embed(word, StegoKey(tuple(range(7))), [1] * 7)
+
+
+def test_extract_checks_key_as_embed_does(rs31):
+    """Positions outside [0, n), repeated or over budget raise in both."""
+    word = encode(rs31, [0] * 19)
+    bad_keys = [
+        (StegoKey((-1,)), ValueError),
+        (StegoKey((31,)), ValueError),
+        (StegoKey((3, 3)), ValueError),
+        (StegoKey(tuple(range(7))), BudgetExceededError),
+    ]
+    for key, error in bad_keys:
+        with pytest.raises(error):
+            embed(word, key, [1] * len(key))
+        with pytest.raises(error):
+            extract(word, key, rs31)
 
 
 def test_embed_length_mismatch(rs31):
