@@ -41,7 +41,10 @@ print()
 print("Polynomials over the field (coefficient lists, ascending powers):")
 p = [1, 0, 1]            # x^2 + 1
 q = [f.alpha_pow(2), 1]  # x + alpha^2
-prod = f.poly_mul(p, q)
+prod = [0] * (len(p) + len(q) - 1)   # schoolbook product, XOR for addition
+for i, a in enumerate(p):
+    for j, b in enumerate(q):
+        prod[i + j] ^= f.mul(a, b)
 print(f"  (x^2 + 1)(x + alpha^2) = {prod}")
 print(f"  at x = alpha^2, the root of x + alpha^2: {f.poly_eval(prod, f.alpha_pow(2))}")
 print(f"  p(1) = {f.poly_eval(p, 1)}   (1 XOR 1 = 0 in characteristic 2)")

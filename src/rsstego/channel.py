@@ -90,9 +90,13 @@ def apply_noise(
         if w > total:
             raise ValueError(f"burst of {w} bits exceeds the {total}-bit codeword")
         offset = rng.below(total - w + 1)
+        # ceil(w / 64) draws, lowest bits first; for w <= 64 this is the
+        # single draw below(1 << w).
         pattern = 0
         while pattern == 0:
-            pattern = rng.below(1 << w)
+            for shift in range(0, w, 64):
+                pattern |= rng.next_u64() << shift
+            pattern &= (1 << w) - 1
         deltas: dict[int, int] = {}
         for r in range(w):
             if (pattern >> (w - 1 - r)) & 1:

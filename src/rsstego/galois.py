@@ -8,18 +8,16 @@ and division go through log/antilog tables built from the primitive
 element alpha = x (the int 2), and ``div(1, a)`` is the inverse of a.  The
 tables cost 2 * 2^m ints of memory, which is why m is capped at 16.
 
-Polynomials over the field are lists of ints, index = power of x, with no
-trailing zeros; the zero polynomial is the empty list.  The codec needs
-three operations on them: ``poly_trim``, ``poly_mul`` and the Horner
-evaluation ``poly_eval``, which computes the syndromes and the Forney
-values (the Chien scan sums the locator's terms in logs instead).
+Polynomials over the field are lists of ints, index = power of x; the
+empty list is the zero polynomial.  The codec needs one operation on them,
+the Horner evaluation ``poly_eval``, which computes the syndromes and the
+Forney values.  The decoder builds its polynomials inline, and the Chien
+scan sums the locator's terms in logs instead.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
-
-FieldPoly = list[int]
 
 # Default irreducible polynomials with x primitive, one per degree.
 DEFAULT_PRIMITIVE_POLY: dict[int, int] = {
@@ -151,28 +149,6 @@ class GF2m:
     # ------------------------------------------------------------------
     # polynomials (coefficient lists, ascending powers)
     # ------------------------------------------------------------------
-    @staticmethod
-    def poly_trim(p: Sequence[int]) -> FieldPoly:
-        """Canonical form: drop trailing zero coefficients."""
-        p = list(p)
-        while p and p[-1] == 0:
-            p.pop()
-        return p
-
-    def poly_mul(self, a: Sequence[int], b: Sequence[int]) -> FieldPoly:
-        a = self.poly_trim(a)
-        b = self.poly_trim(b)
-        if not a or not b:
-            return []
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] ^= self.mul(ai, bj)
-        return self.poly_trim(out)
-
     def poly_eval(self, p: Sequence[int], x: int) -> int:
         """Horner evaluation of p at x; the zero polynomial evaluates to 0.
 

@@ -41,18 +41,27 @@ lanes by one ``int.to_bytes``.  The tables are derived from the matrix by
 multiplying every lane by alpha at once, on first use, and live on the
 cached generator.
 
-Decoding is classical syndrome decoding: Berlekamp-Massey for the minimal
-error-locator polynomial, a Chien scan over the q - 1 nonzero elements for
-the error positions, and Forney's formula for the magnitudes.  Syndromes of
-the corrected word are re-checked, so a claimed success is always a valid
+Decoding is classical syndrome decoding from all n - k syndromes:
+Berlekamp-Massey for the minimal error-locator polynomial, a Chien scan
+over the q - 1 nonzero elements for the error positions, and Forney's
+formula for the magnitudes.  It fails in exactly two places: the locator's
+length L exceeds t or differs from its degree, or the scan finds other
+than L roots.  A success needs no re-check of the corrected word:
+
+    the locator has L <= t distinct roots X_l^-1 and generates S_1..S_(n-k),
+    so S_j = sum_l Y_l X_l^j for every j with Forney's values Y_l: removing
+    them zeroes every S_j, and no Y_l is 0, else a shorter LFSR would do
+
+(Massey 1969, "Shift-register synthesis and BCH decoding"; Forney 1965,
+"On decoding BCH codes").  A claimed success is therefore always a valid
 codeword; beyond t errors the result is either a flagged failure or a
 miscorrection to some other valid codeword.
 
 The syndromes come from the parity remainder.  Re-encoding the received
 data block with the encoder tables gives a codeword c, and the remainder
 e = r + c is zero on the data positions.  Syndromes are linear and vanish
-on codewords, so S_j(r) = S_j(e): the 2t Horner passes run over the n - k
-parity positions instead of all n.  The Chien scan stays in the log
+on codewords, so S_j(r) = S_j(e): the n - k Horner passes run over the
+n - k parity positions instead of all n.  The Chien scan stays in the log
 domain: with the locator's nonzero terms kept as (log c_j, j), position i
 is in error iff the XOR of alpha^(log c_j - i*j) over those terms is zero,
 one table lookup per term and position and no multiplication.
@@ -290,7 +299,7 @@ def _parity(gen: CauchyGenerator, data: Iterable[int]) -> tuple[int, ...]:
 # decoder
 # ----------------------------------------------------------------------
 def syndromes(params: CodeParams, received) -> list[int]:
-    """S_j = v(alpha^j) for j = 1 .. 2t; all zero iff v is a codeword.
+    """S_j = v(alpha^j) for j = 1 .. n-k; all zero iff v is a codeword.
 
     Computed from the parity remainder (see the module docstring), so the
     first call for a geometry builds the encoder tables of its cached
@@ -305,7 +314,9 @@ def syndromes(params: CodeParams, received) -> list[int]:
     f, symbols = params.field, received.symbols
     parity = _parity(build_cauchy(params), received.data)
     remainder = [a ^ b for a, b in zip(parity, symbols)]
-    return [f.poly_eval(remainder, f.alpha_pow(j)) for j in range(1, 2 * params.t + 1)]
+    return [
+        f.poly_eval(remainder, f.alpha_pow(j)) for j in range(1, params.n_parity + 1)
+    ]
 
 
 @dataclass
@@ -346,16 +357,20 @@ def _berlekamp_massey(f: GF2m, synd: Sequence[int]) -> tuple[list[int], int]:
         else:
             gap += 1
         loc = new
-    return f.poly_trim(loc), length
+    while not loc[-1]:   # loc[0] = 1 stops the trim
+        loc.pop()
+    return loc, length
 
 
 def decode(params: CodeParams, received) -> DecodeResult:
-    """Correct up to t symbol errors.
+    """Correct up to t symbol errors from the n - k syndromes of the word.
 
     A received word of the wrong length raises ``LengthMismatchError`` and
     one with a symbol outside [0, q) raises ``ValueError``.  Any word of n
-    in-range symbols never raises: beyond t errors the result is a flagged
-    failure or a miscorrection to another valid codeword.
+    in-range symbols never raises.  Failure is flagged in two places, after
+    Berlekamp-Massey and after the Chien scan; a success is a valid codeword
+    within distance t (see the module docstring), and beyond t errors it may
+    be a miscorrection to another valid codeword.
     """
     word = Codeword(params, received)
     synd = syndromes(params, word)
@@ -370,7 +385,8 @@ def decode(params: CodeParams, received) -> DecodeResult:
         return failed
 
     # Chien scan: position i is in error iff loc(alpha^-i) = 0, summed in
-    # the log domain over the locator's nonzero terms c_j x^j.
+    # the log domain over the locator's nonzero terms c_j x^j.  Positions
+    # come out in ascending order.
     n, exp, log = params.n, f._exp, f._log
     terms = [(log[c], j) for j, c in enumerate(loc) if c]
     positions = []
@@ -384,30 +400,25 @@ def decode(params: CodeParams, received) -> DecodeResult:
         return failed
 
     # Forney with first consecutive root alpha^1:
-    #   Y = omega(X^-1) / loc'(X^-1),  omega = S(x) * loc(x) mod x^2t.
-    omega = f.poly_mul(synd, loc)[: 2 * params.t]
-    deriv = [0] * max(len(loc) - 1, 1)
-    for j in range(1, len(loc), 2):
-        deriv[j - 1] = loc[j]
+    #   Y = omega(X^-1) / loc'(X^-1),  omega = S(x) * loc(x) mod x^(n-k).
+    # loc has distinct roots, so loc' does not vanish at them.
+    omega = [0] * len(synd)
+    for i, c in enumerate(loc):
+        for j, s in enumerate(synd[:len(synd) - i]):
+            if c and s:
+                omega[i + j] ^= f.mul(c, s)
+    # In characteristic 2 the formal derivative keeps the odd powers only.
+    deriv = [c if j % 2 else 0 for j, c in enumerate(loc)][1:]
 
     corrected = list(word.symbols)
     magnitudes: dict[int, int] = {}
     for i in positions:
         x_inv = f.alpha_pow(-i)
-        den = f.poly_eval(deriv, x_inv)
-        if den == 0:
-            return failed
-        y = f.div(f.poly_eval(omega, x_inv), den)
-        if y == 0:
-            return failed
+        y = f.div(f.poly_eval(omega, x_inv), f.poly_eval(deriv, x_inv))
         magnitudes[i] = y
         corrected[i] ^= y
-
-    fixed = Codeword(params, corrected)
-    if any(syndromes(params, fixed)):
-        return failed
     return DecodeResult(
-        corrected=fixed,
-        error_positions=tuple(sorted(positions)),
+        corrected=Codeword(params, corrected),
+        error_positions=tuple(positions),
         error_magnitudes=magnitudes,
     )

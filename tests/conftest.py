@@ -26,3 +26,9 @@ def rs7(gf8):
 @pytest.fixture(scope="session")
 def rs31(gf32):
     return CodeParams(field=gf32, n=31, k=19)
+
+
+@pytest.fixture(scope="session")
+def rs15_10():
+    """An odd number of parity symbols: n - k = 5 = 2t + 1."""
+    return CodeParams(field=GF2m(4), n=15, k=10)

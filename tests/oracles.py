@@ -138,10 +138,10 @@ def remainder_encode(params, data):
 # literal syndrome sums (power sums of the received word)
 # ----------------------------------------------------------------------
 def direct_syndromes(params, symbols):
-    """S_j = sum_i v_i * alpha^(i*j) for j = 1 .. 2t."""
+    """S_j = sum_i v_i * alpha^(i*j) for j = 1 .. n-k, one per root of g(x)."""
     f = params.field
     out = []
-    for j in range(1, 2 * params.t + 1):
+    for j in range(1, params.n - params.k + 1):
         s = 0
         for i, v in enumerate(symbols):
             s ^= f.mul(v, f.alpha_pow(i * j))
@@ -175,7 +175,7 @@ def brute_force_decode(params, symbols):
 
     Enumerates position subsets of size v = 0..t, solves the first v power
     sum equations for the magnitudes and keeps a solution only if the
-    remaining 2t - v equations hold too.  Returns (corrected_symbols,
+    remaining n-k - v equations hold too.  Returns (corrected_symbols,
     {position: magnitude}) or None when no codeword lies within distance t.
     """
     f = params.field
@@ -190,7 +190,7 @@ def brute_force_decode(params, symbols):
             if mags is None or any(y == 0 for y in mags):
                 continue
             ok = True
-            for j in range(v + 1, 2 * params.t + 1):
+            for j in range(v + 1, params.n - params.k + 1):
                 s = 0
                 for i, y in zip(subset, mags):
                     s ^= f.mul(y, f.alpha_pow(i * j))

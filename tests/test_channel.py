@@ -7,6 +7,9 @@ import pytest
 
 from rsstego import (
     ChannelSpec,
+    CodeParams,
+    Codeword,
+    GF2m,
     apply_noise,
     encode,
     fork,
@@ -96,6 +99,24 @@ def test_burst_never_exceeds_budget_bound(rs31, word31):
         for trial in range(300):
             _, event = apply_noise(word31, spec, fork(3, trial))
             assert len(event.affected_positions) <= bound
+
+
+def test_wide_burst_can_flip_every_window_bit():
+    """An 80-bit window takes two 64-bit draws: each of its bits flips in
+    some burst, and no bit outside the window ever does."""
+    params = CodeParams(field=GF2m(8), n=255, k=55)
+    word = Codeword(params, [0] * 255)   # the noisy word is the flip pattern
+    spec = ChannelSpec(mode="burst", burst_bits=80)
+    flipped = set()
+    for trial in range(300):
+        noisy, event = apply_noise(word, spec, fork(9, trial))
+        for pos, symbol in enumerate(noisy.symbols):
+            for r in range(8):
+                if symbol >> (7 - r) & 1:
+                    bit = pos * 8 + r - event.bit_offset
+                    assert 0 <= bit < 80
+                    flipped.add(bit)
+    assert flipped == set(range(80))
 
 
 @pytest.mark.parametrize(

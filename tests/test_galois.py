@@ -180,20 +180,3 @@ def test_poly_eval_matches_term_by_term(gf32):
             p = [rnd.randrange(f.q) for _ in range(6)]
             for x in (0, 1, f.alpha, rnd.randrange(f.q)):
                 assert f.poly_eval(p, x) == eval_term_by_term(f, p, x)
-
-
-def test_poly_mul_identity(gf32):
-    rnd = random.Random(31)
-    p = [rnd.randrange(32) for _ in range(5)]
-    assert gf32.poly_mul(p, [1]) == gf32.poly_trim(p)
-
-
-def test_poly_mul_is_eval_homomorphism(gf32):
-    rnd = random.Random(43)
-    for _ in range(100):
-        a = [rnd.randrange(32) for _ in range(rnd.randrange(1, 6))]
-        b = [rnd.randrange(32) for _ in range(rnd.randrange(1, 6))]
-        x = rnd.randrange(32)
-        lhs = gf32.poly_eval(gf32.poly_mul(a, b), x)
-        rhs = gf32.mul(gf32.poly_eval(a, x), gf32.poly_eval(b, x))
-        assert lhs == rhs

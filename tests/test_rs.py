@@ -2,6 +2,7 @@
 
 import random
 from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -16,11 +17,13 @@ from rsstego import (
     encode,
     syndromes,
 )
+from rsstego import rs
 from oracles import (
     brute_force_decode,
     cauchy_reference,
     data_positions,
     direct_syndromes,
+    generator_poly,
     hamming_distance,
     hamming_weight,
     parity_positions,
@@ -301,6 +304,24 @@ def test_decode_builds_two_codewords_for_one_error(rs31, monkeypatch):
     assert len(calls) == 2
 
 
+def test_decode_encodes_the_data_block_once(rs31, monkeypatch):
+    """One re-encode, for the syndromes; the corrected word is not re-checked."""
+    word = encode(rs31, list(range(19)))
+    received = list(word)
+    received[3] ^= 9
+    received[27] ^= 1
+    calls = []
+    parity = rs._parity
+
+    def counting_parity(*args):
+        calls.append(args)
+        return parity(*args)
+
+    monkeypatch.setattr(rs, "_parity", counting_parity)
+    assert decode(rs31, received).corrected == word
+    assert len(calls) == 1
+
+
 def test_decode_failure_returns_the_received_word(rs7):
     rnd = random.Random(61)
     failures = 0
@@ -370,19 +391,24 @@ def test_decode_magnitudes_reconstruct_received(rs31):
         assert rebuilt == received
 
 
-def test_decode_beyond_capacity_never_crashes(rs7):
-    """t+1 or worse corruption: flagged failure or a valid miscorrection."""
+def test_decode_beyond_capacity_never_crashes(rs7, rs15_10):
+    """t+1 corrupted symbols: flagged failure or a valid miscorrection."""
     rnd = random.Random(43)
-    word = encode(rs7, [2, 7, 4])
-    for _ in range(300):
-        received = list(word)
-        for pos in rnd.sample(range(7), 3):
-            received[pos] ^= rnd.randrange(1, 8)
-        result = decode(rs7, received)
-        if not result.failure:
-            # miscorrection is allowed, silent invalidity is not
-            assert not any(syndromes(rs7, result.corrected))
-            assert len(result.error_positions) <= rs7.t
+    for params, data in ((rs7, [2, 7, 4]), (rs15_10, list(range(10)))):
+        word = encode(params, data)
+        for _ in range(300):
+            received = list(word)
+            for pos in rnd.sample(range(params.n), params.t + 1):
+                received[pos] ^= rnd.randrange(1, params.field.q)
+            result = decode(params, received)
+            if params.n_parity > 2 * params.t:
+                # distance 2t + 2: no codeword lies within t of the word
+                assert result.failure
+            if not result.failure:
+                # miscorrection is allowed, silent invalidity is not
+                corrected = result.corrected
+                assert corrected.symbols == remainder_encode(params, corrected.data)
+                assert len(result.error_positions) <= params.t
 
 
 def test_decode_agrees_with_brute_force_on_garbage(rs7):
@@ -400,6 +426,55 @@ def test_decode_agrees_with_brute_force_on_garbage(rs7):
             assert result.error_magnitudes == magnitudes
 
 
+# Decode depends on a word only through its parity remainder, so the words
+# with zero data and every possible parity block cover every coset of the
+# code.  Odd n - k: RS(7,2), RS(7,4) and RS(15,12).
+COSET_GEOMETRIES = [(2, 1), (3, 2), (3, 3), (3, 4), (3, 5), (4, 12), (4, 13), (5, 29)]
+
+
+@pytest.mark.parametrize("m, k", COSET_GEOMETRIES)
+def test_decode_contract_on_every_coset(m, k):
+    """A success is a codeword by the remainder oracle and at most t symbols
+    from the received word; exactly the error patterns of weight <= t
+    succeed, one per coset."""
+    params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
+    n, q, t = params.n, params.field.q, params.t
+    successes = 0
+    for parity in product(range(q), repeat=params.n_parity):
+        received = [*parity, *[0] * k]
+        result = decode(params, received)
+        corrected = result.corrected
+        if result.failure:
+            assert corrected.symbols == received
+            continue
+        successes += 1
+        assert corrected.symbols == remainder_encode(params, corrected.data)
+        assert len(result.error_positions) <= t
+        assert result.error_positions == tuple(sorted(result.error_magnitudes))
+        rebuilt = list(corrected)
+        for pos, y in result.error_magnitudes.items():
+            assert y
+            rebuilt[pos] ^= y
+        assert rebuilt == received
+    assert successes == sum(comb(n, w) * (q - 1) ** w for w in range(t + 1))
+
+
+def test_decode_flags_word_with_only_the_last_syndrome_nonzero(rs7):
+    """g'(x) = prod_{j=1..4} (x + alpha^j), read as an RS(7,2) word.
+
+    Its first 2t = 4 syndromes vanish but S_5 = g'(alpha^5) does not, so it
+    is no codeword of RS(7,2), whose n - k = 5 roots include alpha^5.
+    """
+    params = CodeParams(field=rs7.field, n=7, k=2)
+    received = generator_poly(rs7) + [0, 0]
+    synd = syndromes(params, received)
+    assert synd[:4] == [0] * 4 and synd[4]
+    assert brute_force_decode(params, received) is None
+    result = decode(params, received)
+    assert result.failure
+    assert result.corrected.symbols == received
+
+
 def test_decode_rejects_malformed_words(rs7, rs31):
     """A Codeword of another geometry is checked like a raw sequence."""
     for check in (decode, syndromes):
@@ -414,14 +489,19 @@ def test_decode_rejects_malformed_words(rs7, rs31):
                     check(rs7, word)
 
 
-@pytest.mark.parametrize("fixture, words", [("rs7", 3000), ("rs31", 500)])
+@pytest.mark.parametrize(
+    "fixture, words", [("rs7", 3000), ("rs31", 500), ("rs15_10", 2000)]
+)
 def test_decode_never_raises_on_in_range_words(fixture, words, request):
     params = request.getfixturevalue(fixture)
     rnd = random.Random(59)
     for _ in range(words):
         received = [rnd.randrange(params.field.q) for _ in range(params.n)]
         result = decode(params, received)
-        assert result.failure or not any(syndromes(params, result.corrected))
+        corrected = result.corrected
+        assert result.failure or corrected.symbols == remainder_encode(
+            params, corrected.data
+        )
 
 
 def test_roundtrip_random_error_patterns_rs31(rs31):
