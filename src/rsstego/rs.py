@@ -41,12 +41,22 @@ lanes by one ``int.to_bytes``.  The tables are derived from the matrix by
 multiplying every lane by alpha at once, on first use, and live on the
 cached generator.
 
-Decoding is classical syndrome decoding from all n - k syndromes:
-Berlekamp-Massey for the minimal error-locator polynomial, a Chien scan
-over the q - 1 nonzero elements for the error positions, and Forney's
-formula for the magnitudes.  It fails in exactly two places: the locator's
-length L exceeds t or differs from its degree, or the scan finds other
-than L roots.  A success needs no re-check of the corrected word:
+Decoding first re-encodes the received data block with the encoder
+tables.  That gives a codeword c, and the error word e = r + c is zero on
+the data positions.  When e = 0 the word is clean.  When 0 < wt(e) <= t,
+c itself is the answer: codewords are at least n - k + 1 > 2t apart, so
+the c with d(r, c) = wt(e) <= t is the unique codeword within distance t,
+the one any bounded-distance decoder returns, and its error pattern is e
+on its support.  This is the common case for stego words, whose hidden
+symbols sit in the parity block by default, and it needs no syndromes
+and no field multiplication.
+
+Otherwise the decoder is classical syndrome decoding from all n - k
+syndromes: Berlekamp-Massey for the minimal error-locator polynomial, a
+Chien scan over the q - 1 nonzero elements for the error positions, and
+Forney's formula for the magnitudes.  It fails in exactly two places: the
+locator's length L exceeds t or differs from its degree, or the scan finds
+other than L roots.  A success needs no re-check of the corrected word:
 
     the locator has L <= t distinct roots X_l^-1 and generates S_1..S_(n-k),
     so S_j = sum_l Y_l X_l^j for every j with Forney's values Y_l: removing
@@ -55,16 +65,20 @@ than L roots.  A success needs no re-check of the corrected word:
 (Massey 1969, "Shift-register synthesis and BCH decoding"; Forney 1965,
 "On decoding BCH codes").  A claimed success is therefore always a valid
 codeword; beyond t errors the result is either a flagged failure or a
-miscorrection to some other valid codeword.
+miscorrection to some other valid codeword.  Because the locator generates
+the whole syndrome sequence, the coefficients L .. n-k-1 of S(x) * loc(x)
+vanish, so Forney's omega keeps only its first L terms; and a degree-L
+locator has at most L roots, so the Chien scan stops at the L-th.
 
-The syndromes come from the parity remainder.  Re-encoding the received
-data block with the encoder tables gives a codeword c, and the remainder
-e = r + c is zero on the data positions.  Syndromes are linear and vanish
-on codewords, so S_j(r) = S_j(e): the n - k Horner passes run over the
-n - k parity positions instead of all n.  The Chien scan stays in the log
-domain: with the locator's nonzero terms kept as (log c_j, j), position i
-is in error iff the XOR of alpha^(log c_j - i*j) over those terms is zero,
-one table lookup per term and position and no multiplication.
+Syndromes are linear and vanish on codewords, so S_j(r) = S_j(e): they
+come from the parity remainder, and the n - k Horner passes run over the
+n - k parity positions instead of all n.  ``syndromes`` re-encodes the data
+block of the word it is given, unless that block is all zero, since zero
+data re-encodes to zero parity; ``decode`` hands it e, so a decode
+re-encodes once.  The Chien scan stays in the log domain: with the
+locator's nonzero terms kept as (log c_j, j), position i is in error iff
+the XOR of alpha^(log c_j - i*j) over those terms is zero, one table
+lookup per term and position and no multiplication.
 """
 
 from __future__ import annotations
@@ -301,19 +315,24 @@ def _parity(gen: CauchyGenerator, data: Iterable[int]) -> tuple[int, ...]:
 def syndromes(params: CodeParams, received) -> list[int]:
     """S_j = v(alpha^j) for j = 1 .. n-k; all zero iff v is a codeword.
 
-    Computed from the parity remainder (see the module docstring), so the
-    first call for a geometry builds the encoder tables of its cached
-    generator, as ``encode`` does.  A raw sequence, or a ``Codeword`` of
-    another geometry, is checked like a new ``Codeword``: the wrong length
-    raises ``LengthMismatchError`` and a symbol outside [0, q) ``ValueError``.
+    Computed from the parity remainder (see the module docstring): the data
+    block is re-encoded and its parity XORed into the received parity.  A
+    word whose data block is all zero is its own remainder and skips the
+    re-encode; any other word builds, on the first call for a geometry,
+    the encoder tables of its cached generator, as ``encode`` does.  A raw
+    sequence, or a ``Codeword`` of another geometry, is checked like a new
+    ``Codeword``: the wrong length raises ``LengthMismatchError`` and a
+    symbol outside [0, q) ``ValueError``.
     """
     if not isinstance(received, Codeword) or (
         received.params is not params and received.params != params
     ):
         received = Codeword(params, received)
-    f, symbols = params.field, received.symbols
-    parity = _parity(build_cauchy(params), received.data)
-    remainder = [a ^ b for a, b in zip(parity, symbols)]
+    f, data = params.field, received.data
+    remainder = received.symbols[:params.n_parity]
+    if any(data):   # zero data re-encodes to zero parity
+        parity = _parity(build_cauchy(params), data)
+        remainder = [a ^ b for a, b in zip(parity, remainder)]
     return [
         f.poly_eval(remainder, f.alpha_pow(j)) for j in range(1, params.n_parity + 1)
     ]
@@ -363,30 +382,45 @@ def _berlekamp_massey(f: GF2m, synd: Sequence[int]) -> tuple[list[int], int]:
 
 
 def decode(params: CodeParams, received) -> DecodeResult:
-    """Correct up to t symbol errors from the n - k syndromes of the word.
+    """Correct up to t symbol errors.
+
+    The data block is re-encoded first.  If the re-encoded codeword is
+    within distance t of the received word it is the answer, with the
+    differing parity positions as the errors (see the module docstring).
+    Otherwise the n - k syndromes go through Berlekamp-Massey, Chien and
+    Forney.  Both paths return the same result for every word.
 
     A received word of the wrong length raises ``LengthMismatchError`` and
     one with a symbol outside [0, q) raises ``ValueError``.  Any word of n
     in-range symbols never raises.  Failure is flagged in two places, after
     Berlekamp-Massey and after the Chien scan; a success is a valid codeword
-    within distance t (see the module docstring), and beyond t errors it may
-    be a miscorrection to another valid codeword.
+    within distance t, and beyond t errors it may be a miscorrection to
+    another valid codeword.
     """
     word = Codeword(params, received)
-    synd = syndromes(params, word)
-    if not any(synd):
+    symbols = word.symbols
+    parity = _parity(build_cauchy(params), word.data)
+    error = [a ^ b for a, b in zip(parity, symbols)]   # e = r + c; 0 on the data
+    support = [i for i, e in enumerate(error) if e]
+    if not support:
         return DecodeResult(corrected=word)
+    if len(support) <= params.t:
+        return DecodeResult(
+            corrected=Codeword(params, [*parity, *symbols[params.n_parity:]]),
+            error_positions=tuple(support),
+            error_magnitudes={i: error[i] for i in support},
+        )
 
     f = params.field
     failed = DecodeResult(corrected=word, failure=True)
-
+    synd = syndromes(params, [*error, *[0] * params.k])   # S(e) = S(r)
     loc, length = _berlekamp_massey(f, synd)
     if length > params.t or len(loc) - 1 != length:
         return failed
 
     # Chien scan: position i is in error iff loc(alpha^-i) = 0, summed in
     # the log domain over the locator's nonzero terms c_j x^j.  Positions
-    # come out in ascending order.
+    # come out in ascending order; a degree-L locator has at most L roots.
     n, exp, log = params.n, f._exp, f._log
     terms = [(log[c], j) for j, c in enumerate(loc) if c]
     positions = []
@@ -396,15 +430,18 @@ def decode(params: CodeParams, received) -> DecodeResult:
             value ^= exp[(log_c - i * j) % n]
         if not value:
             positions.append(i)
+            if len(positions) == length:
+                break
     if len(positions) != length:
         return failed
 
     # Forney with first consecutive root alpha^1:
-    #   Y = omega(X^-1) / loc'(X^-1),  omega = S(x) * loc(x) mod x^(n-k).
+    #   Y = omega(X^-1) / loc'(X^-1),  omega = S(x) * loc(x) mod x^L,
+    # since loc generates every S_j, the terms L .. n-k-1 of S * loc vanish.
     # loc has distinct roots, so loc' does not vanish at them.
-    omega = [0] * len(synd)
+    omega = [0] * length
     for i, c in enumerate(loc):
-        for j, s in enumerate(synd[:len(synd) - i]):
+        for j, s in enumerate(synd[:length - i]):
             if c and s:
                 omega[i + j] ^= f.mul(c, s)
     # In characteristic 2 the formal derivative keeps the odd powers only.

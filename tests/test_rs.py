@@ -322,6 +322,105 @@ def test_decode_encodes_the_data_block_once(rs31, monkeypatch):
     assert len(calls) == 1
 
 
+def _counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that records each call; return the log."""
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_decode_parity_only_errors_skip_syndrome_decoding(rs31, monkeypatch):
+    """Up to t errors in the parity block: the re-encoded word is the answer,
+    found without Berlekamp-Massey or any field multiplication.  One error
+    in the data block takes the syndrome path."""
+    bm_calls = _counting(monkeypatch, rs, "_berlekamp_massey")
+    mul_calls = _counting(monkeypatch, GF2m, "mul")
+    word = encode(rs31, list(range(19)))
+    received = list(word)
+    magnitudes = {0: 5, 4: 17, 7: 1, 8: 30, 9: 2, 11: 31}   # t = 6 in [0, 12)
+    for pos, y in magnitudes.items():
+        received[pos] ^= y
+    result = decode(rs31, received)
+    assert result.corrected == word
+    assert result.error_positions == tuple(magnitudes)
+    assert result.error_magnitudes == magnitudes
+    assert (bm_calls, mul_calls) == ([], [])
+
+    received[0] ^= magnitudes[0]
+    received[rs31.n_parity] ^= 1   # still six errors, one of them in the data
+    result = decode(rs31, received)
+    assert not result.failure and result.corrected == word
+    assert len(bm_calls) == 1 and mul_calls
+
+
+def test_decode_syndrome_path_calls_syndromes_and_parity_once(rs31, monkeypatch):
+    """The slow path still goes through the public ``syndromes`` and still
+    re-encodes only once: ``syndromes`` gets the error word, whose data
+    block is zero."""
+    word = encode(rs31, list(range(19)))
+    synd_calls = _counting(monkeypatch, rs, "syndromes")
+    parity_calls = _counting(monkeypatch, rs, "_parity")
+    received = list(word)
+    received[2] ^= 7
+    received[20] ^= 3
+    result = decode(rs31, received)
+    assert result.corrected == word
+    assert result.error_magnitudes == {2: 7, 20: 3}
+    assert (len(synd_calls), len(parity_calls)) == (1, 1)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+def test_syndromes_of_zero_data_words_skip_the_re_encode(m, monkeypatch):
+    """Zero data re-encodes to zero parity, so the parity block is the
+    remainder; the syndromes still equal the literal power sums."""
+    n = (1 << m) - 1
+    params = CodeParams(field=GF2m(m), n=n, k=max(1, n - 2 * m))
+    parity_calls = _counting(monkeypatch, rs, "_parity")
+    rnd = random.Random(80 + m)
+    q = params.field.q
+    for _ in range(5):
+        received = [rnd.randrange(1, q) for _ in range(params.n_parity)]
+        received += [0] * params.k
+        assert syndromes(params, received) == direct_syndromes(params, received)
+    assert parity_calls == []
+
+
+@pytest.mark.parametrize("k", [3, 9, 11])
+@pytest.mark.parametrize("placement", ["parity", "data", "mixed"])
+def test_decode_matches_brute_force_by_error_placement(k, placement):
+    """RS(7,3), RS(15,9) and RS(15,11) with at most t errors in the parity
+    block only (the re-encoding shortcut), the data block only, or both."""
+    m = 3 if k == 3 else 4
+    params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
+    q, t = params.field.q, params.t
+    parity, data = range(params.n_parity), range(params.n_parity, params.n)
+    rnd = random.Random(f"{k}-{placement}")
+    for _ in range(15):
+        if placement == "mixed":
+            weight = rnd.randrange(2, t + 1)
+            split = rnd.randrange(1, weight)
+            positions = rnd.sample(parity, split) + rnd.sample(data, weight - split)
+        else:
+            positions = rnd.sample(parity if placement == "parity" else data,
+                                   rnd.randrange(1, t + 1))
+        word = encode(params, [rnd.randrange(q) for _ in range(k)])
+        received = list(word)
+        for pos in positions:
+            received[pos] ^= rnd.randrange(1, q)
+        corrected, magnitudes = brute_force_decode(params, received)
+        result = decode(params, received)
+        assert not result.failure
+        assert result.corrected.symbols == corrected == word.symbols
+        assert result.error_magnitudes == magnitudes
+        assert result.error_positions == tuple(sorted(positions))
+
+
 def test_decode_failure_returns_the_received_word(rs7):
     rnd = random.Random(61)
     failures = 0
