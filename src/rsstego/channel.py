@@ -63,15 +63,15 @@ def apply_noise(
 ) -> tuple[Codeword, ErrorEvent]:
     """Apply one noise event drawn from SplitMix64(seed)."""
     params = codeword.params
-    if spec.mode == "none":
-        return codeword.copy(), ErrorEvent(frozenset(), {})
-
     m = params.field.m
     n = params.n
     rng = SplitMix64(seed)
     symbols = list(codeword.symbols)
 
-    if spec.mode == "single_symbol":
+    if spec.mode == "none":
+        event = ErrorEvent(frozenset(), {})
+
+    elif spec.mode == "single_symbol":
         pos = rng.below(n)
         delta = 1 + rng.below(params.field.q - 1)
         symbols[pos] ^= delta
@@ -106,4 +106,5 @@ def apply_noise(
             symbols[pos] ^= delta
         event = ErrorEvent(frozenset(deltas), deltas, bit_offset=offset)
 
-    return Codeword(params, symbols), event
+    # Every delta is below q, so the noisy word needs no second check.
+    return Codeword._of(params, symbols), event

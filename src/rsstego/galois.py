@@ -57,7 +57,7 @@ def _gf2_mod(a: int, b: int) -> int:
 
 def gf2_is_irreducible(poly: int, m: int) -> bool:
     """Trial division by every GF(2) polynomial of degree 1..m//2."""
-    if poly.bit_length() - 1 != m:
+    if poly <= 0 or poly.bit_length() - 1 != m:
         return False
     for d in range(2, 1 << (m // 2 + 1)):
         if _gf2_mod(poly, d) == 0:
@@ -80,10 +80,12 @@ class GF2m:
             raise ValueError(f"m must be in [2, 16], got {m}")
         if primitive_poly is None:
             primitive_poly = DEFAULT_PRIMITIVE_POLY[m]
-        if primitive_poly.bit_length() - 1 != m:
+        # bit_length ignores the sign, and trial division never ends on a
+        # negative int, so the sign is tested first.
+        if not (isinstance(primitive_poly, int) and primitive_poly > 0
+                and primitive_poly.bit_length() - 1 == m):
             raise ValueError(
-                f"modulus 0x{primitive_poly:x} has degree "
-                f"{primitive_poly.bit_length() - 1}, expected {m}"
+                f"modulus {primitive_poly!r} is not a positive int of degree {m}"
             )
         if not gf2_is_irreducible(primitive_poly, m):
             raise ReduciblePolynomialError(

@@ -134,7 +134,16 @@ class CodeParams:
 
 
 class Codeword:
-    """One n-symbol vector split into a parity block and a data block."""
+    """One n-symbol vector split into a parity block and a data block.
+
+    A word is checked once, when it enters the library:
+    ``Codeword(params, symbols)`` raises ``LengthMismatchError`` unless
+    there are n symbols and ``ValueError`` for a symbol outside [0, q).
+    ``decode`` and ``syndromes`` use a ``Codeword`` of their own geometry as
+    it is, and the words the library computes from checked symbols
+    (``encode``, ``embed``, ``apply_noise``, ``decode``) are built without a
+    second check.  Mutating ``symbols`` afterwards is unsupported.
+    """
 
     __slots__ = ("params", "symbols")
 
@@ -151,6 +160,13 @@ class Codeword:
         self.params = params
         self.symbols = symbols
 
+    @classmethod
+    def _of(cls, params: CodeParams, symbols: list[int]) -> "Codeword":
+        """Wrap n symbols already known to lie in [0, q), without a check."""
+        word = cls.__new__(cls)
+        word.params, word.symbols = params, symbols
+        return word
+
     @property
     def data(self) -> list[int]:
         """Data symbols in vector order (d_0 first): positions n-1 down to n-k."""
@@ -161,15 +177,6 @@ class Codeword:
     def parity(self) -> list[int]:
         """Parity symbols in vector order: positions n-k-1 down to 0."""
         return self.symbols[self.params.n_parity - 1::-1]
-
-    def copy(self) -> "Codeword":
-        return Codeword(self.params, self.symbols)
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __getitem__(self, i):
-        return self.symbols[i]
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.symbols)
@@ -262,9 +269,6 @@ def build_cauchy(params: CodeParams) -> CauchyGenerator:
     exp, log = f._exp, f._log
     x = tuple(exp[n - 1 - i] for i in range(k))
     y = tuple(exp[n - 1 - k - j] for j in range(n - k))
-    # Distinct powers of alpha, so x_i + y_j = 0 is impossible; assert anyway.
-    if set(x) & set(y):
-        raise DegenerateParamsError("evaluation point collision between x and y")
 
     # Work in logs (base alpha, modulo the group order n).
     log_v = [sum(log[yj ^ xi] for xi in x) % n for yj in y]
@@ -286,7 +290,7 @@ def encode(params: CodeParams, data: Sequence[int]) -> Codeword:
     for d in data:
         if not 0 <= d < q:
             raise ValueError(f"data symbol {d} outside GF({q})")
-    return Codeword(params, [*_parity(build_cauchy(params), data), *reversed(data)])
+    return Codeword._of(params, [*_parity(build_cauchy(params), data), *reversed(data)])
 
 
 def _parity(gen: CauchyGenerator, data: Iterable[int]) -> tuple[int, ...]:
@@ -312,6 +316,17 @@ def _parity(gen: CauchyGenerator, data: Iterable[int]) -> tuple[int, ...]:
 # ----------------------------------------------------------------------
 # decoder
 # ----------------------------------------------------------------------
+def _received(params: CodeParams, received) -> Codeword:
+    """The received-word rule of ``decode`` and ``syndromes``: a ``Codeword``
+    of this geometry is used as it is, anything else is checked as a new
+    ``Codeword``."""
+    if isinstance(received, Codeword) and (
+        received.params is params or received.params == params
+    ):
+        return received
+    return Codeword(params, received)
+
+
 def syndromes(params: CodeParams, received) -> list[int]:
     """S_j = v(alpha^j) for j = 1 .. n-k; all zero iff v is a codeword.
 
@@ -319,15 +334,13 @@ def syndromes(params: CodeParams, received) -> list[int]:
     block is re-encoded and its parity XORed into the received parity.  A
     word whose data block is all zero is its own remainder and skips the
     re-encode; any other word builds, on the first call for a geometry,
-    the encoder tables of its cached generator, as ``encode`` does.  A raw
-    sequence, or a ``Codeword`` of another geometry, is checked like a new
-    ``Codeword``: the wrong length raises ``LengthMismatchError`` and a
-    symbol outside [0, q) ``ValueError``.
+    the encoder tables of its cached generator, as ``encode`` does.  A
+    ``Codeword`` of this geometry is not checked again.  A raw sequence, or
+    a ``Codeword`` of another geometry, is checked like a new ``Codeword``:
+    the wrong length raises ``LengthMismatchError`` and a symbol outside
+    [0, q) ``ValueError``.
     """
-    if not isinstance(received, Codeword) or (
-        received.params is not params and received.params != params
-    ):
-        received = Codeword(params, received)
+    received = _received(params, received)
     f, data = params.field, received.data
     remainder = received.symbols[:params.n_parity]
     if any(data):   # zero data re-encodes to zero parity
@@ -390,30 +403,31 @@ def decode(params: CodeParams, received) -> DecodeResult:
     Otherwise the n - k syndromes go through Berlekamp-Massey, Chien and
     Forney.  Both paths return the same result for every word.
 
-    A received word of the wrong length raises ``LengthMismatchError`` and
-    one with a symbol outside [0, q) raises ``ValueError``.  Any word of n
-    in-range symbols never raises.  Failure is flagged in two places, after
-    Berlekamp-Massey and after the Chien scan; a success is a valid codeword
-    within distance t, and beyond t errors it may be a miscorrection to
-    another valid codeword.
+    The received word is taken as ``syndromes`` takes it: a ``Codeword`` of
+    this geometry is used as it is and not copied, and anything else of the
+    wrong length raises ``LengthMismatchError`` or, with a symbol outside
+    [0, q), ``ValueError``.  Any word of n in-range symbols never raises.
+    Failure is flagged in two places, after Berlekamp-Massey and after the
+    Chien scan; a failed result holds the received word.  A success is a
+    new valid codeword within distance t, and beyond t errors it may be a
+    miscorrection to another valid codeword.
     """
-    word = Codeword(params, received)
+    word = _received(params, received)
     symbols = word.symbols
     parity = _parity(build_cauchy(params), word.data)
     error = [a ^ b for a, b in zip(parity, symbols)]   # e = r + c; 0 on the data
     support = [i for i, e in enumerate(error) if e]
-    if not support:
-        return DecodeResult(corrected=word)
     if len(support) <= params.t:
         return DecodeResult(
-            corrected=Codeword(params, [*parity, *symbols[params.n_parity:]]),
+            corrected=Codeword._of(params, [*parity, *symbols[params.n_parity:]]),
             error_positions=tuple(support),
             error_magnitudes={i: error[i] for i in support},
         )
 
     f = params.field
     failed = DecodeResult(corrected=word, failure=True)
-    synd = syndromes(params, [*error, *[0] * params.k])   # S(e) = S(r)
+    # S(e) = S(r); e holds n in-range symbols, so it is not checked again.
+    synd = syndromes(params, Codeword._of(params, [*error, *[0] * params.k]))
     loc, length = _berlekamp_massey(f, synd)
     if length > params.t or len(loc) - 1 != length:
         return failed
@@ -455,7 +469,7 @@ def decode(params: CodeParams, received) -> DecodeResult:
         magnitudes[i] = y
         corrected[i] ^= y
     return DecodeResult(
-        corrected=Codeword(params, corrected),
+        corrected=Codeword._of(params, corrected),
         error_positions=tuple(positions),
         error_magnitudes=magnitudes,
     )

@@ -129,7 +129,7 @@ def embed(clean: Codeword, key: StegoKey, message: SecretMessage) -> Codeword:
         if not 0 <= sym < q:
             raise ValueError(f"message symbol {sym} outside GF({q})")
         symbols[pos] = sym
-    return Codeword(params, symbols)
+    return Codeword._of(params, symbols)
 
 
 class ExtractResult(NamedTuple):

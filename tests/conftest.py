@@ -5,7 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from rsstego import CodeParams, GF2m
+from rsstego import CodeParams, Codeword, GF2m
 
 
 @pytest.fixture(scope="session")
@@ -32,3 +32,17 @@ def rs31(gf32):
 def rs15_10():
     """An odd number of parity symbols: n - k = 5 = 2t + 1."""
     return CodeParams(field=GF2m(4), n=15, k=10)
+
+
+@pytest.fixture
+def codeword_inits(monkeypatch):
+    """The arguments of every checked ``Codeword`` built while the test runs."""
+    calls = []
+    init = Codeword.__init__
+
+    def counting_init(self, *args, **kwargs):
+        calls.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Codeword, "__init__", counting_init)
+    return calls

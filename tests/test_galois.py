@@ -41,6 +41,15 @@ def test_rejects_wrong_degree():
         GF2m(3, 0b10011)  # degree 4 modulus for m=3
 
 
+@pytest.mark.parametrize("m", [3, 4, 5, 8])
+def test_rejects_negative_modulus(m):
+    """The negated default modulus has degree m by bit_length; it is refused
+    before the trial division, which would never end on it."""
+    with pytest.raises(ValueError, match="positive") as exc:
+        GF2m(m, -DEFAULT_PRIMITIVE_POLY[m])
+    assert exc.type is ValueError
+
+
 def test_rejects_unsupported_m():
     with pytest.raises(ValueError):
         GF2m(1)

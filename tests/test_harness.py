@@ -74,6 +74,14 @@ def test_error_on_stego_position_breaks_one_symbol(rs31):
     assert hits > 0 and misses > 0
 
 
+def test_trials_check_no_codeword(rs31, codeword_inits):
+    """Every word a trial builds comes from checked symbols; none is re-checked."""
+    config = _single(rs31, channel=ChannelSpec(mode="burst", burst_bits=6), trials=20)
+    for i in range(config.trials):
+        assert run_trial(config, i).data_ok
+    assert codeword_inits == []
+
+
 def test_determinism(rs31):
     a = run_experiment(_single(rs31, master_seed=42))
     b = run_experiment(_single(rs31, master_seed=42))

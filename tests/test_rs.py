@@ -286,22 +286,36 @@ def test_decode_single_flip(rs31):
     assert result.error_magnitudes == {11: 21}
 
 
-def test_decode_builds_two_codewords_for_one_error(rs31, monkeypatch):
-    """The received word and the corrected one; no defensive copy."""
+def test_decode_checks_only_the_received_word(rs31, codeword_inits):
+    """A raw received list is checked once; the corrected word is not."""
     word = encode(rs31, list(range(19)))
     received = list(word)
     received[11] ^= 21
-    calls = []
-    init = Codeword.__init__
-
-    def counting_init(self, *args, **kwargs):
-        calls.append(args)
-        init(self, *args, **kwargs)
-
-    monkeypatch.setattr(Codeword, "__init__", counting_init)
+    codeword_inits.clear()
     result = decode(rs31, received)
     assert result.corrected == word
-    assert len(calls) == 2
+    assert len(codeword_inits) == 1
+
+
+def test_decode_and_syndromes_trust_a_codeword_of_their_geometry(
+    rs31, codeword_inits
+):
+    """No check for a Codeword of equal params, on either decode path, nor
+    for the error word the syndrome path hands to ``syndromes``."""
+    word = encode(rs31, list(range(19)))
+    symbols = list(word)
+    symbols[3] ^= 9
+    symbols[27] ^= 1   # a data-block error: the syndrome path
+    received = Codeword(rs31, symbols)
+    equal_params = CodeParams(field=GF2m(5), n=31, k=19)
+    codeword_inits.clear()
+    for params in (rs31, equal_params):
+        for r, errors in ((word, ()), (received, (3, 27))):
+            result = decode(params, r)
+            assert result.corrected == word
+            assert result.error_positions == errors
+            assert any(syndromes(params, r)) == bool(errors)
+    assert codeword_inits == []
 
 
 def test_decode_encodes_the_data_block_once(rs31, monkeypatch):
