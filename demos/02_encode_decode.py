@@ -5,7 +5,7 @@ n-symbol codeword that survives any t = (n-k)//2 corrupted symbols.
 The demo uses RS(7,3) over GF(8), which corrects t = 2.
 """
 
-from rsstego import CodeParams, GF2m, build_cauchy, decode, encode, syndromes
+from rsstego import CodeParams, GF2m, decode, encode, syndromes
 
 params = CodeParams(field=GF2m(3), n=7, k=3)
 print(f"RS({params.n},{params.k}) over GF({params.field.q}): "
@@ -15,10 +15,9 @@ print(f"parity block at positions {list(range(n - k))}, "
       f"data block at {list(range(n - k, n))}")
 print(f"data symbol i lives at position n-1-i: {tuple(n - 1 - i for i in range(k))}\n")
 
-gen = build_cauchy(params)
 print("The systematic generator is a Cauchy matrix A (parity = data x A):")
-for row in gen.matrix:
-    print(f"  {list(row)}")
+for i in range(k):  # row i is the parity of the unit data vector e_i
+    print(f"  {encode(params, [int(j == i) for j in range(k)]).parity}")
 x = [params.field.alpha_pow(n - 1 - i) for i in range(k)]
 y = [params.field.alpha_pow(n - 1 - k - j) for j in range(n - k)]
 print(f"built from points x = {x} (data) and y = {y} (parity)\n")

@@ -31,7 +31,7 @@ from .galois import GF2m
 from .harness import ExperimentConfig, export_report, run_experiment
 from .rng import fork
 from .rs import CodeParams, Codeword, DegenerateParamsError, decode, encode
-from .stego import derive_positions, embed, extract
+from .stego import check_budget, derive_positions, embed, extract
 
 _MODE_FLAGS = {
     "none": "none",
@@ -87,12 +87,14 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # embed / extract
 # ----------------------------------------------------------------------
-def _check_stego(stego: int, message_symbols: int) -> None:
-    """Raise unless --stego symbols per codeword can carry the message."""
+def _check_stego(params: CodeParams, stego: int, message_symbols: int) -> None:
+    """Raise unless --stego symbols per codeword can carry the message and
+    fit the code's budget, whether or not any codeword fills up."""
     if stego < 0:
         raise ValueError(f"--stego must be non-negative, got {stego}")
     if stego == 0 and message_symbols:
         raise ValueError("--stego must be positive to carry a non-empty message")
+    check_budget(params, stego, 0)
 
 
 def cmd_embed(args) -> int:
@@ -103,7 +105,7 @@ def cmd_embed(args) -> int:
 
     data_syms = bytes_to_symbols(data_bytes, m)
     msg_syms = bytes_to_symbols(msg_bytes, m)
-    _check_stego(c, len(msg_syms))
+    _check_stego(params, c, len(msg_syms))
     num_cw = max(
         -(-len(data_syms) // k),
         -(-len(msg_syms) // c) if c > 0 else 0,
@@ -131,7 +133,7 @@ def cmd_extract(args) -> int:
     seed = cont.seed if args.seed is None else args.seed
 
     msg_sym_total = (cont.message_len * 8 + cont.m - 1) // cont.m
-    _check_stego(c, msg_sym_total)
+    _check_stego(params, c, msg_sym_total)
     needed_cw = -(-msg_sym_total // c) if msg_sym_total else 0
     if needed_cw > cont.num_codewords:
         raise CorruptHeaderError(

@@ -7,47 +7,36 @@ sits at position n-1-i and parity symbol j at position n-k-1-j.
 ``Codeword.data`` and ``Codeword.parity`` are the one definition of that
 layout; read the blocks through them rather than hard-coding positions.
 
-Encoding is parity = data x A for a k x (n-k) Cauchy matrix
+Encoding divides by the generator polynomial
 
-    A[i][j] = u_i * v_j / (x_i + y_j)
+    g(x) = prod_{j=1..n-k} (x + alpha^j).
 
-where x_i = alpha^(n-1-i) and y_j = alpha^(n-1-k-j) are the evaluation
-points of the data and parity positions, and u_i, v_j are the Lagrange
-normalization products
+Position i holds the coefficient of x^i, so the data block is
+D(x) = sum_i d_i x^(n-1-i) and the parity block is D(x) mod g(x): every
+codeword is a multiple of g, with roots alpha^1 .. alpha^(n-k) and zero
+syndromes (Blahut, "Algebraic Codes for Data Transmission", ch. 5).  A
+systematic encoding on fixed information positions is unique, so this is
+the same map as parity = data x A for the k x (n-k) Cauchy matrix on the
+evaluation points alpha^(n-1-i) of the data and alpha^(n-1-k-j) of the
+parity positions; ``tests/oracles.py`` builds that matrix directly.
 
-    u_i = 1 / prod_{l != i} (x_i + x_l),    v_j = prod_l (y_j + x_l).
+The encoder is a linear-feedback shift register on one big int: one 8-bit
+lane per parity position (16-bit when m > 8), position 0 in the top lane.
+Each data symbol d, d_0 first, shifts the register one lane down, which
+multiplies the remainder by x, and XORs in the entry of a q-entry table
+picked by d plus the symbol that left the low lane: that symbol times
+g(x) + x^(n-k).  Multiplying by a constant is GF(2)-linear, so the table
+is the m rows alpha^b * g and every XOR of them, q XORs and no field
+multiplication.  It is built with the cached generator, and a codeword's
+parity costs k lookups and one ``int.to_bytes``.
 
-Equivalently the codeword is the evaluation of the unique degree < k
-polynomial through the data points, so every codeword has roots
-alpha^1 .. alpha^(n-k) and zero syndromes.  The data and parity points
-together are all of GF(2^m)*, so prod_{z != 0} (X + z) = X^n + 1.  Its
-derivative at x_i is the product over the other points,
-prod_{z != 0, x_i} (x_i + z), and equals n * x_i^(n-1) = 1 / x_i because
-n is odd.  Hence
-
-    u_i = x_i * prod_j (x_i + y_j),
-
-which costs n-k products instead of k-1, and ``build_cauchy`` runs in
-O(k(n-k)) like the matrix itself (the standard Cauchy-RS normalisation;
-Bloemer et al. 1995, Plank & Xu 2006).
-
-Multiplying by a constant is GF(2)-linear, so the encoder never multiplies
-symbols.  For each matrix row the generator keeps lookup tables of packed
-parity vectors, one 8-bit lane per parity symbol (16-bit when m > 8): the
-entry for a chunk of data bits is that chunk times the whole row.  A data
-symbol contributes one table entry per chunk of its bits, and a codeword's
-parity is the XOR of those k * ceil(m / chunk) big ints, split back into
-lanes by one ``int.to_bytes``.  The tables are derived from the matrix by
-multiplying every lane by alpha at once, on first use, and live on the
-cached generator.
-
-Decoding first re-encodes the received data block with the encoder
-tables.  That gives a codeword c, and the error word e = r + c is zero on
-the data positions.  When e = 0 the word is clean.  When 0 < wt(e) <= t,
-c itself is the answer: codewords are at least n - k + 1 > 2t apart, so
-the c with d(r, c) = wt(e) <= t is the unique codeword within distance t,
-the one any bounded-distance decoder returns, and its error pattern is e
-on its support.  This is the common case for stego words, whose hidden
+Decoding first re-encodes the received data block.  That gives a
+codeword c, and the error word e = r + c is zero on the data positions.
+When e = 0 the word is clean.  When 0 < wt(e) <= t, c itself is the
+answer: codewords are at least n - k + 1 > 2t apart, so the c with
+d(r, c) = wt(e) <= t is the unique codeword within distance t, the one
+any bounded-distance decoder returns, and its error pattern is e on its
+support.  This is the common case for stego words, whose hidden
 symbols sit in the parity block by default, and it needs no syndromes
 and no field multiplication.
 
@@ -55,8 +44,9 @@ Otherwise the decoder is classical syndrome decoding from all n - k
 syndromes: Berlekamp-Massey for the minimal error-locator polynomial, a
 Chien scan over the q - 1 nonzero elements for the error positions, and
 Forney's formula for the magnitudes.  It fails in exactly two places: the
-locator's length L exceeds t or differs from its degree, or the scan finds
-other than L roots.  A success needs no re-check of the corrected word:
+locator's length L exceeds t, or the scan finds other than L roots, which
+also refuses a locator of degree below L, since it has fewer roots.  A
+success needs no re-check of the corrected word:
 
     the locator has L <= t distinct roots X_l^-1 and generates S_1..S_(n-k),
     so S_j = sum_l Y_l X_l^j for every j with Forney's values Y_l: removing
@@ -85,7 +75,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field as dc_field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 from .galois import GF2m
@@ -195,67 +185,21 @@ class Codeword:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CauchyGenerator:
-    """Precomputed systematic generator: parity = data x matrix.
+    """Precomputed systematic encoder: the LFSR that divides by g(x).
 
-    Only the matrix is kept; the evaluation points x, y and the normalisers
-    u, v it is built from are locals of ``build_cauchy``.
+    ``table[s]`` packs s * (g(x) + x^(n-k)), the low n-k coefficients of
+    s * g(x), one lane per parity position with position 0 in the top
+    lane.  It is exported as ``CauchyGenerator`` because its parity map
+    is the Cauchy matrix of the module docstring (see ``build_cauchy``).
     """
 
-    field: GF2m
-    matrix: tuple[tuple[int, ...], ...]   # k rows, n-k columns
-
-    @cached_property
-    def lanes(self) -> struct.Struct:
-        """Byte layout of a packed parity vector: one big-endian lane per
-        parity symbol, 8 bits wide (16 when m > 8), lane n-k-1 first."""
-        n_parity = len(self.matrix[0])
-        return struct.Struct(f">{n_parity}{'B' if self.field.m <= 8 else 'H'}")
-
-    @property
-    def chunk_bits(self) -> int:
-        """Data bits looked up at once: 2^chunk_bits table entries per chunk.
-
-        Narrower chunks above m = 8 keep the tables within about twice the
-        memory of the matrix, whose entries there are no longer cached
-        small ints.
-        """
-        return 4 if self.field.m <= 8 else 2
-
-    @cached_property
-    def tables(self) -> tuple[list[int], ...]:
-        """Per data row i, flat lookup tables of packed parity vectors.
-
-        Entry (c << chunk_bits) | b holds the n-k products
-        (b << (c * chunk_bits)) * matrix[i][j] for chunk c of the data
-        bits, parity symbol j in lane j.  Multiplying by a constant is
-        GF(2)-linear, so data symbol d contributes the XOR of one entry per
-        chunk of its bits.  Built on first use by ``encode`` or
-        ``syndromes``, so a generator that only answers set-up questions
-        never pays for it.
-        """
-        f = self.field
-        m, width, pack = f.m, self.chunk_bits, self.lanes.pack
-        top = int.from_bytes(pack(*[1 << (m - 1)] * len(self.matrix[0])), "big")
-        low = f.primitive_poly ^ f.q
-        tables = []
-        for row in self.matrix:
-            r = int.from_bytes(pack(*reversed(row)), "big")
-            basis = []   # row * alpha^b for b = 0 .. m-1, every lane at once
-            for _ in range(m):
-                basis.append(r)
-                hi = r & top
-                r = ((r ^ hi) << 1) ^ ((hi >> (m - 1)) * low)
-            flat = []
-            for lo in range(0, m, width):
-                table = [0]
-                for b in basis[lo:lo + width]:
-                    table += [t ^ b for t in table]
-                flat += table
-            tables.append(flat)
-        return tuple(tables)
+    lanes: struct.Struct   # big-endian lanes of lane_bits, position 0 first
+    lane_bits: int         # 8, or 16 when m > 8
+    table: tuple[int, ...]  # q entries
 
 
-# A generator with its encoder tables takes about 9 MB at RS(4095,4063).
+# The generator holds q packed vectors of n-k lanes: about 0.02 MB at
+# RS(255,223), 0.4 MB at RS(4095,4063) and 6.8 MB at RS(65535,65503).
 # Callers use one or a few geometries at a time; eight keeps those warm and
 # bounds what a caller cycling through many geometries keeps alive.
 CAUCHY_CACHE_SIZE = 8
@@ -263,23 +207,29 @@ CAUCHY_CACHE_SIZE = 8
 
 @lru_cache(maxsize=CAUCHY_CACHE_SIZE)
 def build_cauchy(params: CodeParams) -> CauchyGenerator:
-    """Build the Cauchy generator matrix for the given geometry."""
-    f = params.field
-    n, k = params.n, params.k
-    exp, log = f._exp, f._log
-    x = tuple(exp[n - 1 - i] for i in range(k))
-    y = tuple(exp[n - 1 - k - j] for j in range(n - k))
+    """Build the encoder of the given geometry.
 
-    # Work in logs (base alpha, modulo the group order n).
-    log_v = [sum(log[yj ^ xi] for xi in x) % n for yj in y]
-    matrix = []
-    for i, xi in enumerate(x):
-        log_den = [log[xi ^ yj] for yj in y]
-        log_u = (n - 1 - i + sum(log_den)) % n   # u_i = x_i * prod_j (x_i + y_j)
-        matrix.append(tuple(
-            exp[(log_u + lv - ld) % n] for lv, ld in zip(log_v, log_den)
-        ))
-    return CauchyGenerator(field=f, matrix=tuple(matrix))
+    Its parity map is the k x (n-k) Cauchy matrix of the module docstring
+    (row i is ``encode(params, e_i).parity``), hence the name, which the
+    benchmark and its cache statistics also use.  g(x) comes from n-k
+    products in the log domain.  No coefficient of a partial product
+    prod_{i <= j} (x + alpha^i) is zero, so each has a log: it is a
+    codeword of the RS code it generates, whose minimum distance j + 1 is
+    its number of coefficients.
+    """
+    f, n_parity = params.field, params.n_parity
+    exp, log = f._exp, f._log   # exp is doubled: no modulo below
+    g = [1]   # ascending coefficients of prod_{i <= j} (x + alpha^i)
+    for j in range(1, n_parity + 1):
+        scaled = [exp[log[c] + j] for c in g]   # alpha^j * g
+        g = [scaled[0], *(a ^ b for a, b in zip(g, scaled[1:])), 1]
+    width = 8 if f.m <= 8 else 16
+    lanes = struct.Struct(f">{n_parity}{'B' if width == 8 else 'H'}")
+    table = [0]
+    for b in range(f.m):   # alpha^b * g, then every XOR of those rows
+        row = int.from_bytes(lanes.pack(*[exp[log[c] + b] for c in g[:-1]]), "big")
+        table += [t ^ row for t in table]
+    return CauchyGenerator(lanes=lanes, lane_bits=width, table=tuple(table))
 
 
 def encode(params: CodeParams, data: Sequence[int]) -> Codeword:
@@ -296,21 +246,17 @@ def encode(params: CodeParams, data: Sequence[int]) -> Codeword:
 def _parity(gen: CauchyGenerator, data: Iterable[int]) -> tuple[int, ...]:
     """Parity block of k in-range data symbols, in position order 0 .. n-k-1.
 
-    XORs one table entry per chunk of each data symbol's bits, then splits
-    the packed vector into lanes; lane n-k-1 comes first, and parity symbol
-    j sits at position n-k-1-j.
+    One LFSR step per data symbol, d_0 first: the register holds the
+    remainder so far, shifting it multiplies by x, and the coefficient that
+    leaves the low lane plus d picks the multiple of g to add back.
     """
-    width = gen.chunk_bits
-    mask = (1 << width) - 1
-    acc = 0
-    for row, d in zip(gen.tables, data):
-        offset = 0
-        while d:
-            acc ^= row[offset | (d & mask)]
-            d >>= width
-            offset += mask + 1
+    width, table = gen.lane_bits, gen.table
+    low = (1 << width) - 1
+    rem = 0
+    for d in data:
+        rem = (rem >> width) ^ table[(rem & low) ^ d]
     lanes = gen.lanes
-    return lanes.unpack(acc.to_bytes(lanes.size, "big"))
+    return lanes.unpack(rem.to_bytes(lanes.size, "big"))
 
 
 # ----------------------------------------------------------------------
@@ -333,12 +279,10 @@ def syndromes(params: CodeParams, received) -> list[int]:
     Computed from the parity remainder (see the module docstring): the data
     block is re-encoded and its parity XORed into the received parity.  A
     word whose data block is all zero is its own remainder and skips the
-    re-encode; any other word builds, on the first call for a geometry,
-    the encoder tables of its cached generator, as ``encode`` does.  A
-    ``Codeword`` of this geometry is not checked again.  A raw sequence, or
-    a ``Codeword`` of another geometry, is checked like a new ``Codeword``:
-    the wrong length raises ``LengthMismatchError`` and a symbol outside
-    [0, q) ``ValueError``.
+    re-encode.  A ``Codeword`` of this geometry is not checked again.  A
+    raw sequence, or a ``Codeword`` of another geometry, is checked like a
+    new ``Codeword``: the wrong length raises ``LengthMismatchError`` and a
+    symbol outside [0, q) ``ValueError``.
     """
     received = _received(params, received)
     f, data = params.field, received.data
@@ -362,7 +306,9 @@ class DecodeResult:
 
 
 def _berlekamp_massey(f: GF2m, synd: Sequence[int]) -> tuple[list[int], int]:
-    """Minimal LFSR (error locator, ascending coeffs, loc[0] = 1) for synd."""
+    """Minimal LFSR for synd: the error locator (ascending coeffs,
+    loc[0] = 1, degree at most the length, zero high coefficients kept)
+    and its length L."""
     loc = [1]
     prev = [1]
     length = 0
@@ -389,8 +335,6 @@ def _berlekamp_massey(f: GF2m, synd: Sequence[int]) -> tuple[list[int], int]:
         else:
             gap += 1
         loc = new
-    while not loc[-1]:   # loc[0] = 1 stops the trim
-        loc.pop()
     return loc, length
 
 
@@ -429,12 +373,13 @@ def decode(params: CodeParams, received) -> DecodeResult:
     # S(e) = S(r); e holds n in-range symbols, so it is not checked again.
     synd = syndromes(params, Codeword._of(params, [*error, *[0] * params.k]))
     loc, length = _berlekamp_massey(f, synd)
-    if length > params.t or len(loc) - 1 != length:
+    if length > params.t:
         return failed
 
     # Chien scan: position i is in error iff loc(alpha^-i) = 0, summed in
     # the log domain over the locator's nonzero terms c_j x^j.  Positions
-    # come out in ascending order; a degree-L locator has at most L roots.
+    # come out in ascending order; a locator of degree d <= L has at most
+    # d roots, so L roots also means degree L.
     n, exp, log = params.n, f._exp, f._log
     terms = [(log[c], j) for j, c in enumerate(loc) if c]
     positions = []
@@ -454,7 +399,7 @@ def decode(params: CodeParams, received) -> DecodeResult:
     # since loc generates every S_j, the terms L .. n-k-1 of S * loc vanish.
     # loc has distinct roots, so loc' does not vanish at them.
     omega = [0] * length
-    for i, c in enumerate(loc):
+    for i, c in enumerate(loc[:length]):
         for j, s in enumerate(synd[:length - i]):
             if c and s:
                 omega[i + j] ^= f.mul(c, s)

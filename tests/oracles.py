@@ -3,13 +3,14 @@
 Everything here deliberately avoids the code paths under test: polynomial
 helpers are local, syndromes are literal power sums, and the brute-force
 decoder enumerates error-position subsets and solves the syndrome system
-by Gaussian elimination instead of Berlekamp-Massey.  The Cauchy, encoder
-and bit-packing references are the direct formulations the library
-replaced with faster ones: the O(k^2) Lagrange product for u_i, one field
-multiplication per matrix entry, and one big int per byte string.  The
-codeword layout is stated position by position, the Hamming metric lives
-here because only tests use it, and the expected ``%DS_M`` of a channel is
-an exact sum over its noise events.
+by Gaussian elimination instead of Berlekamp-Massey.  The encoder, a
+shift register over packed multiples of g(x), is checked against the
+Cauchy matrix of Lagrange interpolation, built with one field
+multiplication per product, and against long division by g(x) with one
+field multiplication per term.  The bit-packing reference reads one big
+int per byte string.  The codeword layout is stated position by position,
+the Hamming metric lives here because only tests use it, and the expected
+``%DS_M`` of a channel is an exact sum over its noise events.
 """
 
 from fractions import Fraction
@@ -209,7 +210,32 @@ def brute_force_decode(params, symbols):
 # direct Cauchy generator and scalar matrix-product encoder
 # ----------------------------------------------------------------------
 def cauchy_reference(params):
-    """(x, y, u, v, matrix) with u_i as the O(k^2) product over data points."""
+    """(x, y, u, v, matrix) of the systematic encoder's parity map.
+
+    The codeword is the evaluation of the unique degree < k polynomial
+    through the data points, so parity = data x A for the k x (n-k)
+    Cauchy matrix
+
+        A[i][j] = u_i * v_j / (x_i + y_j)
+
+    where x_i = alpha^(n-1-i) and y_j = alpha^(n-1-k-j) are the evaluation
+    points of the data and parity positions, and u_i, v_j are the Lagrange
+    normalization products
+
+        u_i = 1 / prod_{l != i} (x_i + x_l),    v_j = prod_l (y_j + x_l).
+
+    u_i is computed here as that O(k^2) product.  A shorter form exists:
+    the data and parity points together are all of GF(2^m)*, so
+    prod_{z != 0} (X + z) = X^n + 1.  Its derivative at x_i is the product
+    over the other points, prod_{z != 0, x_i} (x_i + z), and equals
+    n * x_i^(n-1) = 1 / x_i because n is odd.  Hence
+
+        u_i = x_i * prod_j (x_i + y_j),
+
+    n-k products instead of k-1 (the standard Cauchy-RS normalisation;
+    Bloemer et al. 1995, Plank & Xu 2006).  Row i of A is the parity of
+    the unit data vector e_i, ``encode(params, e_i).parity``.
+    """
     f = params.field
     n, k = params.n, params.k
     x = [f.alpha_pow(n - 1 - i) for i in range(k)]

@@ -188,6 +188,34 @@ def test_cli_extract_rejects_negative_stego(workdir, capsys, carrier):
     assert not (workdir / "data.out").exists()
 
 
+BUDGET_ERROR = "error: 7 stego symbols + 0 worst-case channel symbols > t = 6\n"
+
+
+@pytest.mark.parametrize("message", [b"", b"abc"], ids=["empty", "3-bytes"])
+def test_cli_embed_rejects_stego_above_t(workdir, capsys, message):
+    # RS(31,19) has t = 6.  Neither message fills a codeword's 7 slots, so
+    # only the check made before any codeword is encoded can refuse it.
+    (workdir / "secret.bin").write_bytes(message)
+    rc = main([
+        "embed", "--data", str(workdir / "cover.bin"),
+        "--message", str(workdir / "secret.bin"),
+        "--out", str(workdir / "out.rss"), "--stego", "7",
+    ])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == BUDGET_ERROR
+    assert not (workdir / "out.rss").exists()
+
+
+def test_cli_extract_rejects_stego_above_t(workdir, capsys):
+    (workdir / "secret.bin").write_bytes(b"")
+    rc, _ = _embed_extract(workdir, extract_args=["--stego", "7"])
+    assert rc == 1
+    assert capsys.readouterr().err == BUDGET_ERROR
+    assert not (workdir / "data.out").exists()
+
+
 def test_cli_empty_message(workdir, capsys):
     (workdir / "secret.bin").write_bytes(b"")
     rc, _ = _embed_extract(workdir)
@@ -206,6 +234,22 @@ def test_cli_roundtrip_large_m(workdir, capsys, m, k):
     )
     assert rc == 0
     assert out.splitlines()[0] == "codewords=2"
+    assert (workdir / "msg.out").read_bytes() == b"attack at dawn"
+    recovered = (workdir / "data.out").read_bytes()
+    original = (workdir / "cover.bin").read_bytes()
+    assert recovered[: len(original)] == original
+    assert not any(recovered[len(original):])
+
+
+def test_cli_roundtrip_m16(workdir, capsys):
+    """RS(65535,65503): the whole carrier and message fit one codeword."""
+    geometry = ["--m", "16", "--n", "65535", "--k", "65503"]
+    rc, out = _embed_extract(
+        workdir, embed_args=[*geometry, "--stego", "8", "--seed", "3"],
+        extract_args=["--stego", "8"], capsys=capsys,
+    )
+    assert rc == 0
+    assert out.splitlines() == ["codewords=1", "residual_capacity=1"]
     assert (workdir / "msg.out").read_bytes() == b"attack at dawn"
     recovered = (workdir / "data.out").read_bytes()
     original = (workdir / "cover.bin").read_bytes()

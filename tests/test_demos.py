@@ -1,4 +1,9 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script runs to completion against the source tree and prints
+exactly its pinned output in ``tests/golden/demos/<name>.txt``.
+
+A demo whose output changes on purpose gets its file regenerated with
+``PYTHONPATH=src python3 demos/<name>.py > tests/golden/demos/<name>.txt``.
+"""
 
 import os
 import subprocess
@@ -9,6 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
+GOLDEN = Path(__file__).resolve().parent / "golden" / "demos"
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)
@@ -19,3 +25,4 @@ def test_demo_exits_cleanly(demo):
         [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / f"{demo.stem}.txt").read_text()

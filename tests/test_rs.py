@@ -1,6 +1,7 @@
 """Encoder/decoder contracts: Cauchy generator, syndromes, BM/Chien/Forney."""
 
 import random
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
@@ -101,20 +102,27 @@ def test_codeword_length_checked(rs7):
 # ----------------------------------------------------------------------
 # Cauchy generator
 # ----------------------------------------------------------------------
+def generator_matrix(params):
+    """The encoder's parity map as a k x (n-k) matrix: row i is the parity
+    of the unit data vector e_i."""
+    k = params.k
+    return [encode(params, [int(j == i) for j in range(k)]).parity for i in range(k)]
+
+
 def test_cauchy_evaluation_points_rs7(rs7, gf8):
     """The matrix is the one built from x_i = alpha^(6-i), y_j = alpha^(3-j)."""
     x, y, _, _, matrix = cauchy_reference(rs7)
     assert x == [gf8.alpha_pow(6 - i) for i in range(3)]
     assert y == [gf8.alpha_pow(3 - j) for j in range(4)]
-    assert build_cauchy(rs7).matrix == tuple(map(tuple, matrix))
+    assert generator_matrix(rs7) == matrix
 
 
 @pytest.mark.parametrize("fixture", ["rs7", "rs31"])
 def test_cauchy_entries_nonzero(fixture, request):
     params = request.getfixturevalue(fixture)
-    gen = build_cauchy(params)
-    assert all(all(entry != 0 for entry in row) for row in gen.matrix)
-    assert gen.matrix == tuple(map(tuple, cauchy_reference(params)[4]))
+    matrix = generator_matrix(params)
+    assert all(all(entry != 0 for entry in row) for row in matrix)
+    assert matrix == cauchy_reference(params)[4]
 
 
 def test_build_cauchy_cache_is_bounded_and_keyed_by_value():
@@ -130,6 +138,22 @@ def test_build_cauchy_cache_is_bounded_and_keyed_by_value():
     build_cauchy.cache_clear()
 
 
+def test_encoder_keeps_under_1_mb_alive_at_m12():
+    """build_cauchy plus one encode at RS(4095,4063): the cached generator
+    is one q-entry table of packed parity vectors, about 0.4 MB."""
+    params = CodeParams(field=GF2m(12), n=4095, k=4063)
+    data = [random.Random(12).randrange(4096) for _ in range(params.k)]
+    build_cauchy.cache_clear()
+    tracemalloc.start()
+    try:
+        encode(params, data)
+        retained, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        build_cauchy.cache_clear()
+    assert retained < 1 << 20
+
+
 # One geometry per m = 3..12: high-rate codes while the O(k^2) reference
 # stays cheap, then low-rate ones; m = 9..12 use 16-bit parity lanes.
 ORACLE_GEOMETRIES = [
@@ -142,7 +166,7 @@ ORACLE_GEOMETRIES = [
 def test_cauchy_and_encode_match_direct_references(m, k):
     params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
     matrix = cauchy_reference(params)[4]
-    assert build_cauchy(params).matrix == tuple(map(tuple, matrix))
+    assert generator_matrix(params) == matrix
     rnd = random.Random(m)
     q = 1 << m
     for data in ([q - 1] * k, *([rnd.randrange(q) for _ in range(k)] for _ in range(3))):

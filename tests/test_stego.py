@@ -37,6 +37,13 @@ def test_derive_positions_golden(rs31):
     assert derive_positions(rs31, seed=1, count=2, pool="any").positions == (20, 23)
 
 
+def test_derive_positions_rejects_a_fractional_count(rs31):
+    for count in (2.5, 2.0):
+        for pool in ("parity", "any"):
+            with pytest.raises(ValueError, match="must be an int"):
+                derive_positions(rs31, 1, count, pool=pool)
+
+
 def test_derive_positions_distinct_and_in_pool(rs31):
     for seed in range(50):
         key = derive_positions(rs31, seed=seed, count=6)
