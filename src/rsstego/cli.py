@@ -144,8 +144,10 @@ def cmd_extract(args) -> int:
     data_syms: list[int] = []
     msg_syms: list[int] = []
     any_failure = False
+    n = cont.n
     for i in range(cont.num_codewords):
-        word = Codeword(params, cont.symbols[i * cont.n:(i + 1) * cont.n])
+        # unpack_container checked n = 2^m - 1 and yields m-bit symbols.
+        word = Codeword._of(params, list(cont.symbols[i * n:(i + 1) * n]))
         count = min(c, max(0, msg_sym_total - i * c))
         key = derive_positions(params, fork(seed, i), count)
         result = extract(word, key, params)

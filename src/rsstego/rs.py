@@ -132,7 +132,9 @@ class Codeword:
     ``decode`` and ``syndromes`` use a ``Codeword`` of their own geometry as
     it is, and the words the library computes from checked symbols
     (``encode``, ``embed``, ``apply_noise``, ``decode``) are built without a
-    second check.  Mutating ``symbols`` afterwards is unsupported.
+    second check, as are the words ``rsstego extract`` reads from an
+    ``RSSTEG01`` container, whose symbols are m-bit fields by construction.
+    Mutating ``symbols`` afterwards is unsupported.
     """
 
     __slots__ = ("params", "symbols")

@@ -46,19 +46,23 @@ def test_bytes_to_symbols_count():
     assert symbols_to_bytes(syms, 3, byte_len=1) == b"\xa5"
 
 
-@pytest.mark.parametrize("m", range(3, 13))
+@pytest.mark.parametrize("m", range(3, 17))
 def test_packers_match_bigint_reference(m):
     rnd = random.Random(100 + m)
     for size in (0, 1, 2, 3, 5, 7, 13, 64, 101):
         data = rnd.randbytes(size)
         assert bytes_to_symbols(data, m) == bigint_to_symbols(data, m, -(-size * 8 // m))
         assert unpack_symbols(data, m) == bigint_to_symbols(data, m, size * 8 // m)
+        assert symbols_to_bytes(bytes_to_symbols(data, m), m, byte_len=size) == data
         symbols = [rnd.randrange(1 << m) for _ in range(rnd.randrange(1, 40))]
         packed = pack_symbols(symbols, m)
+        assert pack_symbols(tuple(symbols), m) == packed
+        assert pack_symbols(iter(symbols), m) == packed
         pad_bits = len(packed) * 8 - len(symbols) * m
         assert 0 <= pad_bits < 8
         assert bigint_to_symbols(packed, m, len(symbols)) == symbols
         assert int.from_bytes(packed, "big") & ((1 << pad_bits) - 1) == 0
+    assert pack_symbols(iter(()), m) == b""
 
 
 def test_container_header_roundtrip():
@@ -406,28 +410,40 @@ def _malformed_blobs(good: bytes, count: int, seed: int):
             yield bytes(blob)
 
 
-def _good_container(workdir) -> bytes:
+# The default RS(31,19) container is packed by the bit loop, the RS(255,223)
+# one by the byte-aligned struct path.
+FUZZ_CODE_FLAGS = ([], ["--m", "8", "--n", "255", "--k", "223"])
+
+
+def _good_container(workdir, code_flags) -> bytes:
     assert main([
         "embed", "--data", str(workdir / "cover.bin"),
         "--message", str(workdir / "secret.bin"),
-        "--out", str(workdir / "out.rss"), "--seed", "21",
+        "--out", str(workdir / "out.rss"), "--seed", "21", *code_flags,
     ]) == 0
     return (workdir / "out.rss").read_bytes()
 
 
+def _fuzz_blobs(workdir, count, seed):
+    for code_flags in FUZZ_CODE_FLAGS:
+        yield from _malformed_blobs(_good_container(workdir, code_flags), count, seed)
+
+
 def test_unpack_container_raises_only_documented_errors(workdir, capsys):
-    for blob in _malformed_blobs(_good_container(workdir), 600, seed=1):
+    for blob in _fuzz_blobs(workdir, 600, seed=1):
         try:
             cont = unpack_container(blob)
         except (BadMagicError, CorruptHeaderError):
             continue
         assert cont.n == (1 << cont.m) - 1
         assert len(cont.symbols) == cont.num_codewords * cont.n
+        # rsstego extract builds its words from these without a second check.
+        assert all(0 <= s < 1 << cont.m for s in cont.symbols)
 
 
 def test_cli_extract_never_raises_on_malformed_containers(workdir, capsys):
     container = workdir / "fuzz.rss"
-    for blob in _malformed_blobs(_good_container(workdir), 200, seed=2):
+    for blob in _fuzz_blobs(workdir, 200, seed=2):
         container.write_bytes(blob)
         rc = main([
             "extract", str(container),
