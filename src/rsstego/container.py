@@ -19,9 +19,9 @@ codeword, since n >= 7 > 7/m).  There is deliberately no carrier-data
 length field, so recovered carrier data is zero-padded to the codeword
 grid; the message is byte-exact via its length field.
 
-At the byte-aligned widths m = 8 and m = 16 the packers convert all
-symbols with one ``struct`` call; every other width goes through the
-MSB-first bit loop.  Both give identical bytes.  Every symbol that
+At m = 8 a symbol is one byte, so the packers convert a payload with one
+``bytes``/``list`` call; every other width goes through the MSB-first bit
+loop.  Both give identical bytes.  Every symbol that
 ``unpack_symbols`` yields is an m-bit field, so it lies in [0, 2^m).
 """
 
@@ -47,20 +47,14 @@ class MessageTooLargeError(ValueError):
     """Message cannot be represented in the container header."""
 
 
-def _aligned(count: int, m: int) -> str:
-    """``struct`` format of count big-endian symbols at m = 8 or 16."""
-    return f">{count}{'B' if m == 8 else 'H'}"
-
-
 def pack_symbols(symbols, m: int) -> bytes:
     """Pack m-bit symbols MSB-first into bytes, zero-padding the tail.
 
     Every symbol must lie in [0, 2^m), as all the library's symbols do; the
     bit loop does not check this.
     """
-    if m in (8, 16):
-        symbols = tuple(symbols)
-        return struct.pack(_aligned(len(symbols), m), *symbols)
+    if m == 8:
+        return bytes(symbols)
     acc = 0
     nbits = 0
     out = bytearray()
@@ -78,8 +72,8 @@ def pack_symbols(symbols, m: int) -> bytes:
 
 def unpack_symbols(data: bytes, m: int) -> list[int]:
     """Inverse of pack_symbols; trailing bits short of a symbol are dropped."""
-    if m in (8, 16):
-        return list(struct.unpack_from(_aligned(len(data) * 8 // m, m), data))
+    if m == 8:
+        return list(data)
     out = []
     acc = 0
     nbits = 0

@@ -411,7 +411,7 @@ def _malformed_blobs(good: bytes, count: int, seed: int):
 
 
 # The default RS(31,19) container is packed by the bit loop, the RS(255,223)
-# one by the byte-aligned struct path.
+# one by the m = 8 byte path.
 FUZZ_CODE_FLAGS = ([], ["--m", "8", "--n", "255", "--k", "223"])
 
 
