@@ -2,11 +2,12 @@
 
 Every value in this library is an element of a finite field GF(2^m):
 an integer whose bits are coefficients of a polynomial over GF(2),
-reduced modulo an irreducible polynomial.  This script pokes at the
-smallest interesting field, GF(8), where everything can be printed.
+reduced modulo the one irreducible polynomial the library fixes for m.
+This script pokes at the smallest interesting field, GF(8), where
+everything can be printed.
 """
 
-from rsstego import GF2m, NonPrimitiveGeneratorError, ReduciblePolynomialError
+from rsstego import DEFAULT_PRIMITIVE_POLY, GF2m
 
 f = GF2m(3)  # x^3 + x + 1
 print(f"Field: {f}")
@@ -26,17 +27,8 @@ a3, a5 = f.alpha_pow(3), f.alpha_pow(5)
 print(f"  alpha^3 * alpha^5 = {f.mul(a3, a5)} = alpha^(8 mod 7) = alpha = {f.alpha_pow(1)}")
 print(f"  inverses: 6 * (1 / 6) = {f.mul(6, f.div(1, 6))}\n")
 
-print("Construction rejects bad moduli:")
-for poly, label in [(0b1001, "x^3 + 1 (divisible by x + 1)"),
-                    (0b11111, "x^4+x^3+x^2+x+1 over m=4 (irreducible, but x has order 5)")]:
-    m = poly.bit_length() - 1
-    try:
-        GF2m(m, poly)
-    except ReduciblePolynomialError as exc:
-        print(f"  {label}: ReduciblePolynomialError({exc})")
-    except NonPrimitiveGeneratorError as exc:
-        print(f"  {label}: NonPrimitiveGeneratorError({exc})")
-print()
+modulus = DEFAULT_PRIMITIVE_POLY[3]
+print(f"One modulus per m: DEFAULT_PRIMITIVE_POLY[3] = {modulus:#06b} (x^3 + x + 1)\n")
 
 print("Polynomials over the field (coefficient lists, ascending powers):")
 p = [1, 0, 1]            # x^2 + 1

@@ -15,12 +15,7 @@ from .container import (
     pack_container,
     unpack_container,
 )
-from .galois import (
-    DEFAULT_PRIMITIVE_POLY,
-    GF2m,
-    NonPrimitiveGeneratorError,
-    ReduciblePolynomialError,
-)
+from .galois import DEFAULT_PRIMITIVE_POLY, GF2m
 from .harness import (
     ExperimentConfig,
     ExperimentReport,
@@ -72,8 +67,6 @@ __all__ = [
     "GF2m",
     "LengthMismatchError",
     "MessageTooLargeError",
-    "NonPrimitiveGeneratorError",
-    "ReduciblePolynomialError",
     "SplitMix64",
     "StegoKey",
     "TrialRecord",

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import islice
 from pathlib import Path
 
 from .channel import ChannelSpec
 from .container import (
-    BadMagicError,
     CorruptHeaderError,
-    MessageTooLargeError,
     bytes_to_symbols,
     pack_container,
     symbols_to_bytes,
@@ -30,7 +29,7 @@ from .container import (
 from .galois import GF2m
 from .harness import ExperimentConfig, export_report, run_experiment
 from .rng import fork
-from .rs import CodeParams, Codeword, DegenerateParamsError, decode, encode
+from .rs import CodeParams, Codeword, decode, encode
 from .stego import check_budget, derive_positions, embed, extract
 
 _MODE_FLAGS = {
@@ -144,10 +143,10 @@ def cmd_extract(args) -> int:
     data_syms: list[int] = []
     msg_syms: list[int] = []
     any_failure = False
-    n = cont.n
+    received = iter(cont.symbols)
     for i in range(cont.num_codewords):
         # unpack_container checked n = 2^m - 1 and yields m-bit symbols.
-        word = Codeword._of(params, list(cont.symbols[i * n:(i + 1) * n]))
+        word = Codeword._of(params, list(islice(received, cont.n)))
         count = min(c, max(0, msg_sym_total - i * c))
         key = derive_positions(params, fork(seed, i), count)
         result = extract(word, key, params)
@@ -236,8 +235,7 @@ def main(argv=None) -> int:
     }[args.command]
     try:
         return handler(args)
-    except (BadMagicError, CorruptHeaderError, MessageTooLargeError,
-            DegenerateParamsError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:   # every rsstego error is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

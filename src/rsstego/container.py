@@ -145,12 +145,12 @@ def unpack_container(blob: bytes) -> Container:
     if not 0 < k < n:
         raise CorruptHeaderError(f"k={k} outside (0, {n})")
     symbols = unpack_symbols(blob[HEADER_SIZE:], m)
-    num_cw = len(symbols) // n
+    del symbols[len(symbols) // n * n:]   # in place: one copy, the tuple
     return Container(
         m=m,
         n=n,
         k=k,
         message_len=message_len,
         seed=seed,
-        symbols=tuple(symbols[: num_cw * n]),
+        symbols=tuple(symbols),
     )

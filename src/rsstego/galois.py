@@ -1,12 +1,20 @@
 """Arithmetic in GF(2^m) and polynomials over it: what the RS codec uses.
 
 Field elements are plain ints in [0, 2^m): the binary digits are the
-coefficients of a polynomial over GF(2), reduced modulo an irreducible
-polynomial of degree m.  Addition is XOR, written inline by callers
+coefficients of a polynomial over GF(2), reduced modulo the fixed
+polynomial ``DEFAULT_PRIMITIVE_POLY[m]``.  There is one field per m because
+an ``RSSTEG01`` container stores only m: a word written under any other
+modulus could not be read back.  Addition is XOR, written inline by callers
 (characteristic 2, so addition and subtraction coincide); multiplication
 and division go through log/antilog tables built from the primitive
 element alpha = x (the int 2), and ``div(1, a)`` is the inverse of a.  The
 tables cost 2 * 2^m ints of memory, which is why m is capped at 16.
+
+Nothing checks the moduli at run time; a test does, for every m.  If the
+powers alpha^0 .. alpha^(q-2) visit every nonzero residue exactly once, x
+has order q - 1 in GF(2)[x]/(p).  Every nonzero residue is then a power of
+x, hence a unit, so the ring is a field and p is irreducible as well as
+primitive.
 
 Polynomials over the field are lists of ints, index = power of x; the
 empty list is the zero polynomial.  The codec needs one operation on them,
@@ -17,10 +25,11 @@ scan sums the locator's terms in logs instead.
 
 from __future__ import annotations
 
+from types import MappingProxyType
 from typing import Sequence
 
-# Default irreducible polynomials with x primitive, one per degree.
-DEFAULT_PRIMITIVE_POLY: dict[int, int] = {
+# The modulus of GF(2^m), one per degree: irreducible, with x primitive.
+DEFAULT_PRIMITIVE_POLY = MappingProxyType({
     2: 0b111,               # x^2 + x + 1
     3: 0b1011,              # x^3 + x + 1
     4: 0b10011,             # x^4 + x + 1
@@ -36,64 +45,28 @@ DEFAULT_PRIMITIVE_POLY: dict[int, int] = {
     14: 0x4443,             # x^14 + x^10 + x^6 + x + 1
     15: 0x8003,             # x^15 + x + 1
     16: 0x1100B,            # x^16 + x^12 + x^3 + x + 1
-}
-
-
-class ReduciblePolynomialError(ValueError):
-    """The modulus factors over GF(2), so the quotient ring is not a field."""
-
-
-class NonPrimitiveGeneratorError(ValueError):
-    """x does not generate the multiplicative group of the field."""
-
-
-def _gf2_mod(a: int, b: int) -> int:
-    """Remainder of carry-less division of a by b (bits = GF(2) coefficients)."""
-    db = b.bit_length() - 1
-    while a.bit_length() - 1 >= db:
-        a ^= b << (a.bit_length() - 1 - db)
-    return a
-
-
-def gf2_is_irreducible(poly: int, m: int) -> bool:
-    """Trial division by every GF(2) polynomial of degree 1..m//2."""
-    if poly <= 0 or poly.bit_length() - 1 != m:
-        return False
-    for d in range(2, 1 << (m // 2 + 1)):
-        if _gf2_mod(poly, d) == 0:
-            return False
-    return True
+})
 
 
 class GF2m:
     """The finite field GF(2^m), 2 <= m <= 16.
 
-    Construction validates the modulus (irreducible of degree m, checked by
-    trial division) and that alpha = x is primitive (its powers must visit
-    every nonzero element exactly once while the tables are built).
+    The modulus is ``DEFAULT_PRIMITIVE_POLY[m]``, kept as ``primitive_poly``:
+    an ``RSSTEG01`` container stores only m, so a word can be read back
+    under one field per m.  A field is a function of m and compares and
+    hashes by m.  The modulus is not checked here.  A test checks that
+    alpha = x has order q - 1 modulo it, so every nonzero residue is a
+    power of x, hence a unit: the modulus is irreducible and primitive.
     """
 
     __slots__ = ("m", "q", "primitive_poly", "alpha", "_exp", "_log")
 
-    def __init__(self, m: int, primitive_poly: int | None = None):
+    def __init__(self, m: int):
         if not 2 <= m <= 16:
             raise ValueError(f"m must be in [2, 16], got {m}")
-        if primitive_poly is None:
-            primitive_poly = DEFAULT_PRIMITIVE_POLY[m]
-        # bit_length ignores the sign, and trial division never ends on a
-        # negative int, so the sign is tested first.
-        if not (isinstance(primitive_poly, int) and primitive_poly > 0
-                and primitive_poly.bit_length() - 1 == m):
-            raise ValueError(
-                f"modulus {primitive_poly!r} is not a positive int of degree {m}"
-            )
-        if not gf2_is_irreducible(primitive_poly, m):
-            raise ReduciblePolynomialError(
-                f"0x{primitive_poly:x} is reducible over GF(2)"
-            )
         self.m = m
         self.q = 1 << m
-        self.primitive_poly = primitive_poly
+        self.primitive_poly = poly = DEFAULT_PRIMITIVE_POLY[m]
         self.alpha = 2
 
         # exp table doubled so mul/div never need an explicit modulo.
@@ -102,15 +75,11 @@ class GF2m:
         log = [0] * self.q
         val = 1
         for i in range(order):
-            if val == 1 and i > 0:
-                raise NonPrimitiveGeneratorError(
-                    f"x has order {i} < {order} modulo 0x{primitive_poly:x}"
-                )
             exp[i] = val
             log[val] = i
             val <<= 1
             if val & self.q:
-                val ^= primitive_poly
+                val ^= poly
         for i in range(order, 2 * order):
             exp[i] = exp[i - order]
         self._exp = exp
@@ -119,14 +88,14 @@ class GF2m:
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, primitive_poly=0x{self.primitive_poly:x})"
 
-    # The tables are a function of (m, primitive_poly): that pair is the value.
+    # The tables are a function of m: m is the value.
     def __eq__(self, other) -> bool:
         if not isinstance(other, GF2m):
             return NotImplemented
-        return (self.m, self.primitive_poly) == (other.m, other.primitive_poly)
+        return self.m == other.m
 
     def __hash__(self) -> int:
-        return hash((self.m, self.primitive_poly))
+        return hash(self.m)
 
     # ------------------------------------------------------------------
     # element arithmetic (addition is XOR)

@@ -76,6 +76,7 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from operator import index
 from typing import Iterable, Iterator, Sequence
 
 from .galois import GF2m
@@ -123,12 +124,29 @@ class CodeParams:
         return self.n - self.k
 
 
+def _field_symbols(symbols: Iterable, q: int, what: str) -> list[int]:
+    """The symbols as ints, each in [0, q): ``ValueError`` for a symbol that
+    ``operator.index`` refuses (a float, a str) or one outside the range."""
+    out = []
+    for s in symbols:
+        try:
+            s = index(s)
+        except TypeError:
+            raise ValueError(f"{what} {s!r} is not an integer") from None
+        if not 0 <= s < q:
+            raise ValueError(f"{what} {s} outside GF({q})")
+        out.append(s)
+    return out
+
+
 class Codeword:
     """One n-symbol vector split into a parity block and a data block.
 
     A word is checked once, when it enters the library:
     ``Codeword(params, symbols)`` raises ``LengthMismatchError`` unless
-    there are n symbols and ``ValueError`` for a symbol outside [0, q).
+    there are n symbols and ``ValueError`` for a symbol that is not an
+    integer or lies outside [0, q).  Ints, bools and numpy integers pass
+    and are stored as ``int``.
     ``decode`` and ``syndromes`` use a ``Codeword`` of their own geometry as
     it is, and the words the library computes from checked symbols
     (``encode``, ``embed``, ``apply_noise``, ``decode``) are built without a
@@ -145,12 +163,8 @@ class Codeword:
             raise LengthMismatchError(
                 f"codeword needs {params.n} symbols, got {len(symbols)}"
             )
-        q = params.field.q
-        for s in symbols:
-            if not 0 <= s < q:
-                raise ValueError(f"symbol {s} outside GF({q})")
         self.params = params
-        self.symbols = symbols
+        self.symbols = _field_symbols(symbols, params.field.q, "symbol")
 
     @classmethod
     def _of(cls, params: CodeParams, symbols: list[int]) -> "Codeword":
@@ -284,7 +298,7 @@ def syndromes(params: CodeParams, received) -> list[int]:
     re-encode.  A ``Codeword`` of this geometry is not checked again.  A
     raw sequence, or a ``Codeword`` of another geometry, is checked like a
     new ``Codeword``: the wrong length raises ``LengthMismatchError`` and a
-    symbol outside [0, q) ``ValueError``.
+    symbol that is not an integer in [0, q) ``ValueError``.
     """
     received = _received(params, received)
     f, data = params.field, received.data
@@ -351,8 +365,9 @@ def decode(params: CodeParams, received) -> DecodeResult:
 
     The received word is taken as ``syndromes`` takes it: a ``Codeword`` of
     this geometry is used as it is and not copied, and anything else of the
-    wrong length raises ``LengthMismatchError`` or, with a symbol outside
-    [0, q), ``ValueError``.  Any word of n in-range symbols never raises.
+    wrong length raises ``LengthMismatchError`` or, with a symbol that is
+    not an integer in [0, q), ``ValueError``.  Any word of n in-range
+    integer symbols never raises.
     Failure is flagged in two places, after Berlekamp-Massey and after the
     Chien scan; a failed result holds the received word.  A success is a
     new valid codeword within distance t, and beyond t errors it may be a

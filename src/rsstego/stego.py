@@ -31,6 +31,7 @@ from .rs import (
     Codeword,
     DecodeResult,
     LengthMismatchError,
+    _field_symbols,
     decode,
 )
 
@@ -117,7 +118,8 @@ def embed(clean: Codeword, key: StegoKey, message: SecretMessage) -> Codeword:
 
     A message symbol equal to the clean symbol is fine: it produces a
     zero-magnitude "error" and extraction still reads it back, because
-    extraction reads received values rather than deltas.
+    extraction reads received values rather than deltas.  A message symbol
+    that is not an integer in [0, q) raises ``ValueError``.
     """
     params = clean.params
     if len(message) != len(key.positions):
@@ -125,11 +127,9 @@ def embed(clean: Codeword, key: StegoKey, message: SecretMessage) -> Codeword:
             f"message has {len(message)} symbols for {len(key.positions)} positions"
         )
     check_key(params, key)
-    q = params.field.q
+    message = _field_symbols(message, params.field.q, "message symbol")
     symbols = list(clean.symbols)
     for pos, sym in zip(key.positions, message):
-        if not 0 <= sym < q:
-            raise ValueError(f"message symbol {sym} outside GF({q})")
         symbols[pos] = sym
     return Codeword._of(params, symbols)
 

@@ -4,14 +4,7 @@ import random
 
 import pytest
 
-from rsstego import (
-    DEFAULT_PRIMITIVE_POLY,
-    CodeParams,
-    GF2m,
-    NonPrimitiveGeneratorError,
-    ReduciblePolynomialError,
-    encode,
-)
+from rsstego import DEFAULT_PRIMITIVE_POLY, CodeParams, GF2m, encode
 from oracles import eval_term_by_term, gf2_is_irreducible_oracle
 
 
@@ -19,35 +12,18 @@ from oracles import eval_term_by_term, gf2_is_irreducible_oracle
 # construction
 # ----------------------------------------------------------------------
 def test_gf32_default_poly_builds():
-    f = GF2m(5, 0b100101)  # x^5 + x^2 + 1
+    f = GF2m(5)
     assert f.q == 32
-    assert gf2_is_irreducible_oracle(0b100101, 5)
+    assert f.primitive_poly == 0b100101  # x^5 + x^2 + 1
+    assert gf2_is_irreducible_oracle(f.primitive_poly, 5)
 
 
 def test_gf8_default_poly_builds():
-    f = GF2m(3, 0b1011)  # x^3 + x + 1: no root in GF(2), degree 3 => irreducible
+    f = GF2m(3)
     assert f.q == 8
-    assert gf2_is_irreducible_oracle(0b1011, 3)
-
-
-def test_reducible_poly_rejected():
-    # x^3 + 1 = (x + 1)(x^2 + x + 1)
-    with pytest.raises(ReduciblePolynomialError):
-        GF2m(3, 0b1001)
-
-
-def test_rejects_wrong_degree():
-    with pytest.raises(ValueError):
-        GF2m(3, 0b10011)  # degree 4 modulus for m=3
-
-
-@pytest.mark.parametrize("m", [3, 4, 5, 8])
-def test_rejects_negative_modulus(m):
-    """The negated default modulus has degree m by bit_length; it is refused
-    before the trial division, which would never end on it."""
-    with pytest.raises(ValueError, match="positive") as exc:
-        GF2m(m, -DEFAULT_PRIMITIVE_POLY[m])
-    assert exc.type is ValueError
+    # x^3 + x + 1: no root in GF(2), degree 3 => irreducible
+    assert f.primitive_poly == 0b1011
+    assert gf2_is_irreducible_oracle(f.primitive_poly, 3)
 
 
 def test_rejects_unsupported_m():
@@ -57,39 +33,31 @@ def test_rejects_unsupported_m():
         GF2m(17)
 
 
-def test_non_primitive_generator_rejected():
-    # x^4 + x^3 + x^2 + x + 1 is irreducible but x has order 5 in GF(16)*
-    assert gf2_is_irreducible_oracle(0b11111, 4)
-    with pytest.raises(NonPrimitiveGeneratorError):
-        GF2m(4, 0b11111)
-
-
-def test_construction_matches_irreducibility_oracle_exhaustive_m3():
-    """Every degree-3 modulus: builds iff irreducible (x is then primitive)."""
-    for poly in range(0b1000, 0b10000):
-        irreducible = gf2_is_irreducible_oracle(poly, 3)
-        try:
-            GF2m(3, poly)
-            built = True
-        except (ReduciblePolynomialError, NonPrimitiveGeneratorError):
-            built = False
-        # |GF(8)*| = 7 is prime, so x is automatically primitive when the
-        # modulus is irreducible: built iff irreducible
-        assert built == irreducible
-
-
-@pytest.mark.parametrize("m", sorted(DEFAULT_PRIMITIVE_POLY))
+@pytest.mark.parametrize("m", range(2, 17))
 def test_all_default_polys_valid(m):
+    """alpha = x has order q - 1 modulo DEFAULT_PRIMITIVE_POLY[m], so every
+    nonzero residue is a power of x, hence a unit: the modulus is
+    irreducible as well as primitive.  Nothing checks it at run time."""
     f = GF2m(m)
-    assert f.alpha_pow(f.q - 1) == 1
+    assert f.primitive_poly == DEFAULT_PRIMITIVE_POLY[m]
+    assert f.primitive_poly.bit_length() - 1 == m
+    assert {f.alpha_pow(i) for i in range(f.q - 1)} == set(range(1, f.q))
+    assert all(f.alpha_pow(i) != 1 for i in range(1, f.q - 1))
+    if m <= 8:   # the factor search costs about m * 2^m products
+        assert gf2_is_irreducible_oracle(f.primitive_poly, m)
+
+
+def test_modulus_table_is_read_only():
+    assert sorted(DEFAULT_PRIMITIVE_POLY) == list(range(2, 17))
+    with pytest.raises(TypeError):
+        DEFAULT_PRIMITIVE_POLY[5] = 0b101001
 
 
 def test_fields_compare_by_value():
-    """Fields with the same (m, modulus) are equal, and so is what they build."""
+    """Fields with the same m are equal, and so is what they build."""
     a, b = GF2m(5), GF2m(5)
     assert a == b
     assert hash(a) == hash(b)
-    assert a != GF2m(5, 0b101001)  # x^5 + x^3 + 1, another primitive modulus
     assert a != GF2m(4)
     assert a != 5
     pa, pb = CodeParams(a, 31, 19), CodeParams(b, 31, 19)

@@ -1,4 +1,4 @@
-"""Package-level contracts: what importing rsstego loads."""
+"""Package-level contracts: what importing rsstego loads and exports."""
 
 import os
 import subprocess
@@ -28,3 +28,16 @@ def test_import_loads_only_the_standard_library():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == []
+
+
+def test_exports():
+    """Every name in __all__ resolves, once; every exported exception is a
+    ValueError, which is what ``rsstego.cli.main`` catches."""
+    import rsstego
+
+    assert len(set(rsstego.__all__)) == len(rsstego.__all__)
+    exported = [getattr(rsstego, name) for name in rsstego.__all__]
+    errors = [e for e in exported if isinstance(e, type) and issubclass(e, Exception)]
+    assert errors
+    for error in errors:
+        assert issubclass(error, ValueError), error

@@ -15,6 +15,8 @@ from rsstego import (
     LengthMismatchError,
     build_cauchy,
     decode,
+    derive_positions,
+    embed,
     encode,
     syndromes,
 )
@@ -97,6 +99,39 @@ def test_codeword_length_checked(rs7):
         Codeword(rs7, [0] * 6)
     with pytest.raises(ValueError):
         Codeword(rs7, [0] * 6 + [9])  # symbol outside GF(8)
+
+
+class _Index:
+    """An integer type that is not int, as numpy's are: it has __index__."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def __index__(self):
+        return self.value
+
+
+@pytest.mark.parametrize("bad", [1.0, 1.5, "1"], ids=repr)
+def test_non_integer_symbols_rejected(rs31, bad):
+    """A symbol that operator.index refuses raises ValueError wherever a word
+    or a message enters the library, so it never reaches a codeword."""
+    for check in (Codeword, decode, syndromes):
+        for word in ([bad] + [0] * 30, [0] * 30 + [bad]):
+            with pytest.raises(ValueError, match="not an integer"):
+                check(rs31, word)
+    key = derive_positions(rs31, 1, 2)
+    with pytest.raises(ValueError, match="not an integer"):
+        embed(encode(rs31, [0] * 19), key, [2, bad])
+
+
+def test_integer_symbols_are_stored_as_int(rs31):
+    word = Codeword(rs31, [True, _Index(5)] + [0] * 29)
+    assert word.symbols[:2] == [1, 5]
+    key = derive_positions(rs31, 1, 2)
+    stego = embed(encode(rs31, [0] * 19), key, [True, _Index(7)])
+    assert [stego.symbols[p] for p in key.positions] == [1, 7]
+    for w in (word, stego):
+        assert all(type(s) is int for s in w.symbols)
 
 
 # ----------------------------------------------------------------------
