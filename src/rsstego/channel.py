@@ -12,6 +12,11 @@ Three noise shapes, each a deterministic function of the caller's seed:
 
 Bits are numbered MSB-first within each symbol, matching the container
 packing: global bit b lives in symbol b // m, mask 1 << (m - 1 - b % m).
+
+Each mode only draws its error pattern, a map from position to nonzero XOR
+delta (``ErrorEvent.deltas``); the noisy word is the input XOR that map,
+applied in one place.  The bit modes share ``_bit_deltas``, the one place
+that maps bits of the MSB-first bitstream to symbols.
 """
 
 from __future__ import annotations
@@ -41,11 +46,19 @@ class ChannelSpec:
 
 @dataclass(frozen=True)
 class ErrorEvent:
-    """Realized noise: which symbols changed and by what XOR delta."""
+    """Realized noise: the error pattern, position -> nonzero XOR delta.
 
-    affected_positions: frozenset[int]
+    The noisy word is the input word XOR ``deltas``.  ``bit_offset`` is the
+    first bit of the window in burst mode and None in every other mode.
+    """
+
     deltas: Mapping[int, int]
     bit_offset: int | None = None
+
+    @property
+    def affected_positions(self) -> frozenset[int]:
+        """The symbols the event changed."""
+        return frozenset(self.deltas)
 
 
 def max_affected_symbols(spec: ChannelSpec, m: int) -> int:
@@ -58,32 +71,33 @@ def max_affected_symbols(spec: ChannelSpec, m: int) -> int:
     return (spec.burst_bits + m - 2) // m + 1
 
 
+def _bit_deltas(offset: int, pattern: int, width: int, m: int) -> dict[int, int]:
+    """Per-symbol deltas that flip bit offset + r of the MSB-first bitstream
+    for each set bit width - 1 - r of pattern, the window's first bit first."""
+    deltas: dict[int, int] = {}
+    for r in range(width):
+        if (pattern >> (width - 1 - r)) & 1:
+            pos, rr = divmod(offset + r, m)
+            deltas[pos] = deltas.get(pos, 0) | (1 << (m - 1 - rr))
+    return deltas
+
+
 def apply_noise(
     codeword: Codeword, spec: ChannelSpec, seed: int
 ) -> tuple[Codeword, ErrorEvent]:
     """Apply one noise event drawn from SplitMix64(seed)."""
     params = codeword.params
-    m = params.field.m
-    n = params.n
+    m, n = params.field.m, params.n
     rng = SplitMix64(seed)
-    symbols = list(codeword.symbols)
+    offset = None
 
     if spec.mode == "none":
-        event = ErrorEvent(frozenset(), {})
-
+        deltas = {}
     elif spec.mode == "single_symbol":
         pos = rng.below(n)
-        delta = 1 + rng.below(params.field.q - 1)
-        symbols[pos] ^= delta
-        event = ErrorEvent(frozenset({pos}), {pos: delta})
-
+        deltas = {pos: 1 + rng.below(params.field.q - 1)}
     elif spec.mode == "single_bit":
-        bit = rng.below(n * m)
-        pos, r = divmod(bit, m)
-        delta = 1 << (m - 1 - r)
-        symbols[pos] ^= delta
-        event = ErrorEvent(frozenset({pos}), {pos: delta})
-
+        deltas = _bit_deltas(rng.below(n * m), 1, 1, m)
     else:  # burst
         w = spec.burst_bits
         total = n * m
@@ -97,14 +111,10 @@ def apply_noise(
             for shift in range(0, w, 64):
                 pattern |= rng.next_u64() << shift
             pattern &= (1 << w) - 1
-        deltas: dict[int, int] = {}
-        for r in range(w):
-            if (pattern >> (w - 1 - r)) & 1:
-                pos, rr = divmod(offset + r, m)
-                deltas[pos] = deltas.get(pos, 0) | (1 << (m - 1 - rr))
-        for pos, delta in deltas.items():
-            symbols[pos] ^= delta
-        event = ErrorEvent(frozenset(deltas), deltas, bit_offset=offset)
+        deltas = _bit_deltas(offset, pattern, w, m)
 
+    symbols = list(codeword.symbols)
+    for pos, delta in deltas.items():
+        symbols[pos] ^= delta
     # Every delta is below q, so the noisy word needs no second check.
-    return Codeword._of(params, symbols), event
+    return Codeword._of(params, symbols), ErrorEvent(deltas, bit_offset=offset)

@@ -42,7 +42,8 @@ _MODE_FLAGS = {
 
 def _add_code_flags(p: argparse.ArgumentParser):
     p.add_argument("--m", type=int, default=5, help="symbol width in bits")
-    p.add_argument("--n", type=int, default=31, help="codeword length (2^m - 1)")
+    p.add_argument("--n", type=int, default=None,
+                   help="codeword length (default 2^m - 1, the only one allowed)")
     p.add_argument("--k", type=int, default=19, help="data symbols per codeword")
     p.add_argument("--stego", type=int, default=2,
                    help="message symbols hidden per codeword")
@@ -96,8 +97,15 @@ def _check_stego(params: CodeParams, stego: int, message_symbols: int) -> None:
     check_budget(params, stego, 0)
 
 
+def _code_params(args) -> CodeParams:
+    """The geometry of --m, --n and --k; --n defaults to 2^m - 1."""
+    field = GF2m(args.m)
+    n = field.q - 1 if args.n is None else args.n
+    return CodeParams(field=field, n=n, k=args.k)
+
+
 def cmd_embed(args) -> int:
-    params = CodeParams(field=GF2m(args.m), n=args.n, k=args.k)
+    params = _code_params(args)
     m, k, c = args.m, args.k, args.stego
     data_bytes = Path(args.data).read_bytes()
     msg_bytes = Path(args.message).read_bytes()
@@ -118,7 +126,7 @@ def cmd_embed(args) -> int:
         key = derive_positions(params, fork(args.seed, i), len(chunk))
         out_symbols.extend(embed(clean, key, chunk).symbols)
 
-    blob = pack_container(m, args.n, k, len(msg_bytes), args.seed, out_symbols)
+    blob = pack_container(m, params.n, k, len(msg_bytes), args.seed, out_symbols)
     Path(args.out).write_bytes(blob)
     print(f"codewords={num_cw}")
     print(f"residual_capacity={num_cw * c - len(msg_syms)}")
@@ -169,7 +177,7 @@ def cmd_extract(args) -> int:
 # ----------------------------------------------------------------------
 def cmd_simulate(args) -> int:
     config = ExperimentConfig(
-        params=CodeParams(field=GF2m(args.m), n=args.n, k=args.k),
+        params=_code_params(args),
         stego_count=args.stego,
         channel=ChannelSpec(mode=_MODE_FLAGS[args.mode], burst_bits=args.burst_bits),
         trials=args.trials,

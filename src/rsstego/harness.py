@@ -103,7 +103,7 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         data_ok=recovered.data == data,
         message_symbols_ok=sum(a == b for a, b in zip(recovered.message, message)),
         stego_positions=key.positions,
-        error_positions=tuple(sorted(event.affected_positions)),
+        error_positions=tuple(sorted(event.deltas)),
         decode_failed=recovered.diagnostics.failure,
     )
 
@@ -145,29 +145,21 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
 
 def export_report(report: ExperimentReport, out_dir) -> dict[str, Path]:
     """Write report.csv plus the two location histograms for re-plotting."""
+    metrics = ("pct_decoded_info", "pct_decoded_secret",
+               "pct_decoded_secret_trials", "trials", "stego_count")
+    tables = {
+        "report": (("metric", "value"),
+                   [(name, getattr(report, name)) for name in metrics]),
+        "error_hist": (("position", "count"), enumerate(report.error_location_hist)),
+        "stego_hist": (("position", "count"), enumerate(report.stego_location_hist)),
+    }
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    paths = {
-        "report": out / "report.csv",
-        "error_hist": out / "error_hist.csv",
-        "stego_hist": out / "stego_hist.csv",
-    }
-    with open(paths["report"], "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["metric", "value"])
-        w.writerow(["pct_decoded_info", report.pct_decoded_info])
-        w.writerow(["pct_decoded_secret", report.pct_decoded_secret])
-        w.writerow(["pct_decoded_secret_trials", report.pct_decoded_secret_trials])
-        w.writerow(["trials", report.trials])
-        w.writerow(["stego_count", report.stego_count])
-    hists = [
-        ("error_hist", report.error_location_hist),
-        ("stego_hist", report.stego_location_hist),
-    ]
-    for name, hist in hists:
+    paths = {}
+    for name, (header, rows) in tables.items():
+        paths[name] = out / f"{name}.csv"
         with open(paths[name], "w", newline="") as fh:
             w = csv.writer(fh)
-            w.writerow(["position", "count"])
-            for pos, count in enumerate(hist):
-                w.writerow([pos, count])
+            w.writerow(header)
+            w.writerows(rows)
     return paths

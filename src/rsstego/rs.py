@@ -60,6 +60,11 @@ the whole syndrome sequence, the coefficients L .. n-k-1 of S(x) * loc(x)
 vanish, so Forney's omega keeps only its first L terms; and a degree-L
 locator has at most L roots, so the Chien scan stops at the L-th.
 
+Either path yields the error pattern, a map from position to nonzero
+magnitude (``DecodeResult.error_magnitudes``), and ``decode`` builds the
+corrected word in one place, as the received word XOR that pattern.  A
+failure returns the received word itself and an empty pattern.
+
 Syndromes are linear and vanish on codewords, so S_j(r) = S_j(e): they
 come from the parity remainder, and the n - k Horner passes run over the
 n - k parity positions instead of all n.  ``syndromes`` re-encodes the data
@@ -313,12 +318,21 @@ def syndromes(params: CodeParams, received) -> list[int]:
 
 @dataclass
 class DecodeResult:
-    """Outcome of one decode; ``failure`` means more than t errors detected."""
+    """Outcome of one decode; ``failure`` means more than t errors detected.
+
+    ``error_magnitudes`` is the error pattern, position -> nonzero XOR
+    magnitude: ``corrected`` is the received word XOR it.  A failure holds
+    the received word and an empty pattern.
+    """
 
     corrected: Codeword
-    error_positions: tuple[int, ...] = ()
     error_magnitudes: dict[int, int] = dc_field(default_factory=dict)
     failure: bool = False
+
+    @property
+    def error_positions(self) -> tuple[int, ...]:
+        """The corrected positions in ascending order."""
+        return tuple(sorted(self.error_magnitudes))
 
 
 def _berlekamp_massey(f: GF2m, synd: Sequence[int]) -> tuple[list[int], int]:
@@ -358,10 +372,11 @@ def decode(params: CodeParams, received) -> DecodeResult:
     """Correct up to t symbol errors.
 
     The data block is re-encoded first.  If the re-encoded codeword is
-    within distance t of the received word it is the answer, with the
-    differing parity positions as the errors (see the module docstring).
-    Otherwise the n - k syndromes go through Berlekamp-Massey, Chien and
-    Forney.  Both paths return the same result for every word.
+    within distance t of the received word, the differing parity positions
+    are the error pattern (see the module docstring).  Otherwise the n - k
+    syndromes go through Berlekamp-Massey, Chien and Forney.  Both paths
+    give the same pattern for every word, and the corrected word is the
+    received word XOR that pattern.
 
     The received word is taken as ``syndromes`` takes it: a ``Codeword`` of
     this geometry is used as it is and not copied, and anything else of the
@@ -377,21 +392,29 @@ def decode(params: CodeParams, received) -> DecodeResult:
     symbols = word.symbols
     parity = _parity(build_cauchy(params), word.data)
     error = [a ^ b for a, b in zip(parity, symbols)]   # e = r + c; 0 on the data
-    support = [i for i, e in enumerate(error) if e]
-    if len(support) <= params.t:
-        return DecodeResult(
-            corrected=Codeword._of(params, [*parity, *symbols[params.n_parity:]]),
-            error_positions=tuple(support),
-            error_magnitudes={i: error[i] for i in support},
-        )
+    pattern = {i: e for i, e in enumerate(error) if e}
+    if len(pattern) > params.t:
+        pattern = _syndrome_pattern(params, error)
+        if pattern is None:
+            return DecodeResult(corrected=word, failure=True)
+    corrected = list(symbols)
+    for i, y in pattern.items():
+        corrected[i] ^= y
+    return DecodeResult(
+        corrected=Codeword._of(params, corrected), error_magnitudes=pattern
+    )
 
+
+def _syndrome_pattern(params: CodeParams, error: list[int]) -> dict[int, int] | None:
+    """The error pattern of a word whose parity remainder is ``error`` (its
+    n - k low symbols; the data block is zero), from Berlekamp-Massey, Chien
+    and Forney, in ascending position order; None when decoding fails."""
     f = params.field
-    failed = DecodeResult(corrected=word, failure=True)
     # S(e) = S(r); e holds n in-range symbols, so it is not checked again.
     synd = syndromes(params, Codeword._of(params, [*error, *[0] * params.k]))
     loc, length = _berlekamp_massey(f, synd)
     if length > params.t:
-        return failed
+        return None
 
     # Chien scan: position i is in error iff loc(alpha^-i) = 0, summed in
     # the log domain over the locator's nonzero terms c_j x^j.  Positions
@@ -409,7 +432,7 @@ def decode(params: CodeParams, received) -> DecodeResult:
             if len(positions) == length:
                 break
     if len(positions) != length:
-        return failed
+        return None
 
     # Forney with first consecutive root alpha^1:
     #   Y = omega(X^-1) / loc'(X^-1),  omega = S(x) * loc(x) mod x^L,
@@ -422,16 +445,8 @@ def decode(params: CodeParams, received) -> DecodeResult:
                 omega[i + j] ^= f.mul(c, s)
     # In characteristic 2 the formal derivative keeps the odd powers only.
     deriv = [c if j % 2 else 0 for j, c in enumerate(loc)][1:]
-
-    corrected = list(word.symbols)
-    magnitudes: dict[int, int] = {}
+    pattern = {}
     for i in positions:
         x_inv = f.alpha_pow(-i)
-        y = f.div(f.poly_eval(omega, x_inv), f.poly_eval(deriv, x_inv))
-        magnitudes[i] = y
-        corrected[i] ^= y
-    return DecodeResult(
-        corrected=Codeword._of(params, corrected),
-        error_positions=tuple(positions),
-        error_magnitudes=magnitudes,
-    )
+        pattern[i] = f.div(f.poly_eval(omega, x_inv), f.poly_eval(deriv, x_inv))
+    return pattern

@@ -32,6 +32,7 @@ from .rs import (
     DecodeResult,
     LengthMismatchError,
     _field_symbols,
+    _received,
     decode,
 )
 
@@ -140,19 +141,21 @@ class ExtractResult(NamedTuple):
     diagnostics: DecodeResult
 
 
-def extract(received: Codeword, key: StegoKey, params: CodeParams) -> ExtractResult:
+def extract(received, key: StegoKey, params: CodeParams) -> ExtractResult:
     """Read the message at the key positions, then RS-decode the carrier.
 
     The message symbols are the received (pre-correction) values, so a
     channel error on a stego position corrupts that message symbol even
     though the carrier data still decodes.  The key is checked as
-    ``embed`` checks it.
+    ``embed`` checks it, and the received word as ``decode`` checks it: a
+    ``Codeword`` of this geometry is used as it is, and a raw sequence is
+    checked like a new ``Codeword``.
     """
     check_key(params, key)
-    diagnostics = decode(params, received)
-    message = [received.symbols[p] for p in key.positions]
+    word = _received(params, received)
+    diagnostics = decode(params, word)
     return ExtractResult(
         data=diagnostics.corrected.data,
-        message=message,
+        message=[word.symbols[p] for p in key.positions],
         diagnostics=diagnostics,
     )

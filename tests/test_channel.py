@@ -1,7 +1,9 @@
 """Noise models: determinism, shape of each error type, uniformity."""
 
 import math
+import random
 from collections import Counter
+from dataclasses import fields
 
 import pytest
 
@@ -9,6 +11,7 @@ from rsstego import (
     ChannelSpec,
     CodeParams,
     Codeword,
+    ErrorEvent,
     GF2m,
     apply_noise,
     encode,
@@ -37,6 +40,41 @@ def test_mode_none(word31):
     assert noisy == word31
     assert event.affected_positions == frozenset()
     assert event.deltas == {}
+
+
+def test_error_event_stores_only_its_pattern():
+    assert [f.name for f in fields(ErrorEvent)] == ["deltas", "bit_offset"]
+    event = ErrorEvent({9: 4, 2: 1})
+    assert event.affected_positions == frozenset({2, 9})
+    assert event.bit_offset is None
+
+
+NOISE_SPECS = [
+    ChannelSpec(mode="none"),
+    ChannelSpec(mode="single_symbol"),
+    ChannelSpec(mode="single_bit"),
+    ChannelSpec(mode="burst"),
+    ChannelSpec(mode="burst", burst_bits=20),   # fits the 21 bits of RS(7, k)
+]
+
+
+@pytest.mark.parametrize("spec", NOISE_SPECS, ids=lambda s: f"{s.mode}-{s.burst_bits}")
+@pytest.mark.parametrize("m", [3, 5, 8, 16])
+def test_noisy_word_is_input_xor_deltas(m, spec):
+    """Every mode: the noisy word is the input XOR ``deltas``, whose keys are
+    ``affected_positions``, and only a burst sets ``bit_offset``."""
+    n = (1 << m) - 1
+    params = CodeParams(field=GF2m(m), n=n, k=n - 2)
+    rnd = random.Random(m)
+    word = Codeword(params, [rnd.randrange(n + 1) for _ in range(n)])
+    for trial in range(25):
+        noisy, event = apply_noise(word, spec, fork(m, trial))
+        deltas = event.deltas
+        assert noisy.symbols == [s ^ deltas.get(i, 0) for i, s in enumerate(word)]
+        assert event.affected_positions == frozenset(deltas)
+        assert all(0 < d <= n for d in deltas.values())
+        assert (event.bit_offset is not None) == (spec.mode == "burst")
+        assert bool(deltas) == (spec.mode != "none")
 
 
 def test_single_symbol_changes_exactly_one(rs31, word31):

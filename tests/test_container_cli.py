@@ -383,6 +383,31 @@ def test_cli_rejects_bad_geometry(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_cli_n_defaults_to_the_length_of_m(workdir, capsys):
+    """Without --n the code length is 2^m - 1; an explicit --n is still
+    checked against m."""
+    geometry = ["--m", "8", "--k", "223"]
+    rc, out = _embed_extract(workdir, embed_args=[*geometry, "--seed", "4"], capsys=capsys)
+    assert rc == 0
+    assert out.splitlines()[0] == "codewords=7"
+    assert unpack_container((workdir / "out.rss").read_bytes()).n == 255
+    assert (workdir / "msg.out").read_bytes() == b"attack at dawn"
+    original = (workdir / "cover.bin").read_bytes()
+    assert (workdir / "data.out").read_bytes()[: len(original)] == original
+    capsys.readouterr()
+
+    rc = main(["simulate", *geometry, "--mode", "burst", "--trials", "20"])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines()[0] == "pct_decoded_info=100.0"
+
+    rc = main(["embed", "--data", str(workdir / "cover.bin"),
+               "--message", str(workdir / "secret.bin"),
+               "--out", str(workdir / "bad.rss"), *geometry, "--n", "31"])
+    assert rc == 1
+    assert "n must be q-1 = 255, got 31" in capsys.readouterr().err
+    assert not (workdir / "bad.rss").exists()
+
+
 def test_cli_selftest(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out

@@ -1,6 +1,7 @@
 """Encoder/decoder contracts: Cauchy generator, syndromes, BM/Chien/Forney."""
 
 import random
+from dataclasses import fields
 import tracemalloc
 from itertools import combinations, product
 from math import comb
@@ -10,6 +11,7 @@ import pytest
 from rsstego import (
     CodeParams,
     Codeword,
+    DecodeResult,
     DegenerateParamsError,
     GF2m,
     LengthMismatchError,
@@ -492,6 +494,59 @@ def test_decode_matches_brute_force_by_error_placement(k, placement):
         assert result.corrected.symbols == corrected == word.symbols
         assert result.error_magnitudes == magnitudes
         assert result.error_positions == tuple(sorted(positions))
+
+
+def test_decode_result_stores_only_its_pattern(rs7):
+    assert [f.name for f in fields(DecodeResult)] == [
+        "corrected", "error_magnitudes", "failure"
+    ]
+    result = DecodeResult(encode(rs7, [1, 2, 3]), {5: 1, 0: 6})
+    assert result.error_positions == (0, 5)
+    assert not result.failure
+
+
+@pytest.mark.parametrize("m, k", [(5, 19), (8, 223)])
+def test_decode_corrected_xor_pattern_is_the_received_word(m, k, monkeypatch):
+    """On the re-encoding shortcut (parity-block errors), on the syndrome
+    path (a data-block error) and on failure (random words), the corrected
+    word XOR ``error_magnitudes`` is the received word."""
+    params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
+    n, t, q = params.n, params.t, params.field.q
+    synd_calls = _counting(monkeypatch, rs, "syndromes")
+    rnd = random.Random(m)
+
+    def check(received, *, slow, failure):
+        before = len(synd_calls)
+        result = decode(params, received)
+        assert len(synd_calls) - before == slow
+        assert result.failure == failure
+        pattern = result.error_magnitudes
+        assert [s ^ pattern.get(i, 0) for i, s in enumerate(result.corrected)] == received
+        assert result.error_positions == tuple(sorted(pattern))
+        assert 0 not in pattern.values()
+        return result
+
+    def corrupt(word, positions):
+        received = list(word)
+        for pos in positions:
+            received[pos] ^= rnd.randrange(1, q)
+        return received
+
+    for _ in range(10):
+        word = encode(params, [rnd.randrange(q) for _ in range(k)])
+        parity_errors = rnd.sample(range(params.n_parity), rnd.randint(0, t))
+        received = corrupt(word, parity_errors)
+        assert check(received, slow=0, failure=False).corrected == word
+
+        data_error = rnd.randrange(params.n_parity, n)
+        others = rnd.sample([p for p in range(n) if p != data_error], rnd.randint(0, t - 1))
+        received = corrupt(word, [data_error, *others])
+        result = check(received, slow=1, failure=False)
+        assert result.corrected == word
+        assert result.error_positions == tuple(sorted([data_error, *others]))
+
+        received = [rnd.randrange(q) for _ in range(n)]
+        assert check(received, slow=1, failure=True).corrected.symbols == received
 
 
 def test_decode_failure_returns_the_received_word(rs7):

@@ -6,6 +6,7 @@ import pytest
 
 from rsstego import (
     BudgetExceededError,
+    Codeword,
     LengthMismatchError,
     StegoKey,
     decode,
@@ -14,6 +15,7 @@ from rsstego import (
     encode,
     extract,
 )
+from rsstego import rs
 
 
 def test_empty_key_is_identity(rs31):
@@ -204,3 +206,30 @@ def test_wrong_seed_keeps_data_intact(rs31):
     wrong = derive_positions(rs31, seed=2, count=2)
     got = extract(carrier, wrong, rs31)
     assert got.data == data  # transparency is key-independent
+
+
+@pytest.mark.parametrize("raw", [list, tuple])
+def test_extract_takes_raw_words_on_both_decode_paths(rs31, raw, monkeypatch):
+    """A raw list or tuple is checked as ``decode`` checks it, and extracts
+    exactly as the ``Codeword`` of the same symbols does."""
+    synd_calls = []
+    syndromes = rs.syndromes
+
+    def counted(*args):
+        synd_calls.append(args)
+        return syndromes(*args)
+
+    monkeypatch.setattr(rs, "syndromes", counted)
+    data = list(range(19))
+    key = derive_positions(rs31, seed=5, count=2)
+    stego = embed(encode(rs31, data), key, [9, 20])
+    data_error = list(stego)
+    data_error[rs31.n - 1] ^= 4   # d_0: the re-encoded parity differs everywhere
+    for symbols, slow in ((stego.symbols, 0), (data_error, 1)):
+        before = len(synd_calls)
+        got = extract(raw(symbols), key, rs31)
+        assert len(synd_calls) - before == slow
+        assert got == extract(Codeword(rs31, symbols), key, rs31)
+        assert got.data == data and got.message == [9, 20]
+    with pytest.raises(LengthMismatchError):
+        extract(raw(stego.symbols[:-1]), key, rs31)
