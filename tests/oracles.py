@@ -8,7 +8,8 @@ shift register over packed multiples of g(x), is checked against the
 Cauchy matrix of Lagrange interpolation, built with one field
 multiplication per product, and against long division by g(x) with one
 field multiplication per term.  The bit-packing reference reads one big
-int per byte string.  The codeword layout is stated position by position,
+int per byte string.  ``rssteg01_container`` writes an RSSTEG01
+container from the README's payload rule, without the CLI.  The codeword layout is stated position by position,
 the Hamming metric lives here because only tests use it, and the expected
 ``%DS_M`` of a channel is an exact sum over its noise events.
 """
@@ -17,7 +18,16 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Iterable, Sequence
 
-from rsstego import LengthMismatchError
+from rsstego import (
+    CodeParams,
+    GF2m,
+    LengthMismatchError,
+    derive_positions,
+    embed,
+    encode,
+    fork,
+    pack_container,
+)
 
 
 # ----------------------------------------------------------------------
@@ -285,6 +295,31 @@ def bigint_to_symbols(data, m, count):
     acc = int.from_bytes(data, "big")
     acc = acc << shift if shift >= 0 else acc >> -shift
     return [(acc >> (m * (count - 1 - i))) & ((1 << m) - 1) for i in range(count)]
+
+
+# ----------------------------------------------------------------------
+# RSSTEG01 payload rule
+# ----------------------------------------------------------------------
+def rssteg01_container(data, message, m, k, stego, seed):
+    """The container ``rsstego embed`` writes, from the README's rule: the
+    codeword count is max(ceil(data symbols / k), ceil(message symbols /
+    stego)), the carrier is zero-padded to that grid, and codeword i hides
+    the next min(stego, remaining) message symbols at
+    derive_positions(params, fork(seed, i), count)."""
+    params = CodeParams(GF2m(m), (1 << m) - 1, k)
+    data_symbols = bigint_to_symbols(data, m, -(-len(data) * 8 // m))
+    remaining = bigint_to_symbols(message, m, -(-len(message) * 8 // m))
+    count = -(-len(data_symbols) // k)
+    if remaining:
+        count = max(count, -(-len(remaining) // stego))
+    data_symbols += [0] * (count * k - len(data_symbols))
+    payload = []
+    for i in range(count):
+        hidden, remaining = remaining[:stego], remaining[stego:]
+        clean = encode(params, data_symbols[i * k:(i + 1) * k])
+        key = derive_positions(params, fork(seed, i), len(hidden))
+        payload += embed(clean, key, hidden).symbols
+    return pack_container(m, params.n, k, len(message), seed, payload)
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,7 @@ from rsstego.container import (
     unpack_symbols,
 )
 from rsstego.cli import main
-from oracles import bigint_to_symbols
+from oracles import bigint_to_symbols, rssteg01_container
 
 
 # ----------------------------------------------------------------------
@@ -406,6 +406,67 @@ def test_cli_n_defaults_to_the_length_of_m(workdir, capsys):
     assert rc == 1
     assert "n must be q-1 = 255, got 31" in capsys.readouterr().err
     assert not (workdir / "bad.rss").exists()
+
+
+# (m, k, data bytes, message bytes, --stego, case); each case's property is
+# asserted on the symbol counts, so a case cannot silently stop covering it.
+_PIN_CASES = [
+    (3, 3, 9, 0, 2, "empty-message"),
+    (3, 3, 9, 1, 2, "message-ends-mid-codeword"),
+    (3, 3, 1, 4, 2, "more-codewords-than-carrier"),
+    (3, 3, 5, 1, 1, "carrier-off-grid"),
+    (5, 19, 64, 0, 3, "empty-message"),
+    (5, 19, 64, 3, 2, "message-ends-mid-codeword"),
+    (5, 19, 10, 14, 3, "more-codewords-than-carrier"),
+    (5, 19, 100, 14, 6, "carrier-off-grid"),
+    (8, 223, 500, 0, 2, "empty-message"),
+    (8, 223, 446, 3, 2, "message-ends-mid-codeword"),
+    (8, 223, 10, 9, 2, "more-codewords-than-carrier"),
+    (8, 223, 500, 40, 16, "carrier-off-grid"),
+]
+
+
+@pytest.mark.parametrize(
+    "m, k, data_len, message_len, stego, case", _PIN_CASES,
+    ids=[f"m{c[0]}-{c[5]}" for c in _PIN_CASES],
+)
+def test_cli_container_bytes_match_the_payload_rule(
+    workdir, capsys, m, k, data_len, message_len, stego, case
+):
+    """rsstego embed writes the container of the documented payload rule,
+    byte for byte, and rsstego extract restores both files."""
+    data_symbols = -(-data_len * 8 // m)
+    message_symbols = -(-message_len * 8 // m)
+    carrier_codewords = -(-data_symbols // k)
+    message_codewords = -(-message_symbols // stego)
+    assert {
+        "empty-message": message_symbols == 0,
+        "message-ends-mid-codeword": message_symbols % stego != 0
+        and message_codewords <= carrier_codewords,
+        "more-codewords-than-carrier": message_codewords > carrier_codewords,
+        "carrier-off-grid": data_symbols % k != 0,
+    }[case]
+    rnd = random.Random(f"{m}-{case}")
+    data, message = rnd.randbytes(data_len), rnd.randbytes(message_len)
+    (workdir / "cover.bin").write_bytes(data)
+    (workdir / "secret.bin").write_bytes(message)
+    seed = rnd.randrange(1 << 64)
+    flags = ["--m", str(m), "--k", str(k), "--stego", str(stego)]
+
+    rc, out = _embed_extract(workdir, embed_args=[*flags, "--seed", str(seed)],
+                             extract_args=["--stego", str(stego)], capsys=capsys)
+    assert rc == 0
+    blob = (workdir / "out.rss").read_bytes()
+    assert blob == rssteg01_container(data, message, m, k, stego, seed)
+    codewords = max(carrier_codewords, message_codewords)
+    assert out.splitlines() == [
+        f"codewords={codewords}",
+        f"residual_capacity={codewords * stego - message_symbols}",
+    ]
+    assert (workdir / "msg.out").read_bytes() == message
+    recovered = (workdir / "data.out").read_bytes()
+    assert recovered[:data_len] == data
+    assert not any(recovered[data_len:])
 
 
 def test_cli_selftest(capsys):
