@@ -40,8 +40,8 @@ class ChannelSpec:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.burst_bits < 1:
-            raise ValueError(f"burst_bits must be >= 1, got {self.burst_bits}")
+        if type(self.burst_bits) is not int or self.burst_bits < 1:
+            raise ValueError(f"burst_bits must be an int >= 1, got {self.burst_bits!r}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Command-line front end: embed, extract, simulate, selftest.
+"""Command-line front end: embed, extract, simulate.
 
 All randomness is seed-driven (no hidden entropy), so every command is
 deterministic given its flags.  ``simulate`` prints exactly two
@@ -6,6 +6,10 @@ machine-readable lines:
 
     pct_decoded_info=<float>
     pct_decoded_secret=<float>
+
+``embed`` and ``extract`` lay the message over the codeword grid by the
+payload rule of the README's "Container format" section, through
+``_keys``, the one place that derives a codeword's key.
 
 Exit status: 0 on success, 1 when any codeword reports a decode failure or
 an input file is unusable, 2 for bad flags (argparse).
@@ -29,7 +33,7 @@ from .container import (
 from .galois import GF2m
 from .harness import ExperimentConfig, export_report, run_experiment
 from .rng import fork
-from .rs import CodeParams, Codeword, decode, encode
+from .rs import CodeParams, Codeword, encode
 from .stego import check_budget, derive_positions, embed, extract
 
 _MODE_FLAGS = {
@@ -79,22 +83,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--burst-bits", type=int, default=6)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--out", default=None, help="directory for the CSV reports")
-
-    sub.add_parser("selftest", help="quick internal verification battery")
     return parser
 
 
 # ----------------------------------------------------------------------
 # embed / extract
 # ----------------------------------------------------------------------
-def _check_stego(params: CodeParams, stego: int, message_symbols: int) -> None:
+def _check_stego(params: CodeParams, stego: int, message_symbols: int) -> int:
     """Raise unless --stego symbols per codeword can carry the message and
-    fit the code's budget, whether or not any codeword fills up."""
+    fit the code's budget, whether or not any codeword fills up; return the
+    number of codewords the message needs."""
     if stego < 0:
         raise ValueError(f"--stego must be non-negative, got {stego}")
     if stego == 0 and message_symbols:
         raise ValueError("--stego must be positive to carry a non-empty message")
     check_budget(params, stego, 0)
+    return -(-message_symbols // stego) if message_symbols else 0
+
+
+def _keys(params: CodeParams, seed: int, stego: int, message_symbols: int,
+          codewords: int):
+    """Codeword i's key, for i < codewords: where it hides the next
+    min(stego, remaining) of the message_symbols symbols."""
+    for i in range(codewords):
+        count = min(stego, max(0, message_symbols - i * stego))
+        yield derive_positions(params, fork(seed, i), count)
 
 
 def _code_params(args) -> CodeParams:
@@ -112,19 +125,14 @@ def cmd_embed(args) -> int:
 
     data_syms = bytes_to_symbols(data_bytes, m)
     msg_syms = bytes_to_symbols(msg_bytes, m)
-    _check_stego(params, c, len(msg_syms))
-    num_cw = max(
-        -(-len(data_syms) // k),
-        -(-len(msg_syms) // c) if c > 0 else 0,
-    )
+    num_cw = max(-(-len(data_syms) // k), _check_stego(params, c, len(msg_syms)))
     data_syms += [0] * (num_cw * k - len(data_syms))
 
     out_symbols: list[int] = []
-    for i in range(num_cw):
+    keys = _keys(params, args.seed, c, len(msg_syms), num_cw)
+    for i, key in enumerate(keys):
         clean = encode(params, data_syms[i * k:(i + 1) * k])
-        chunk = msg_syms[i * c:(i + 1) * c]
-        key = derive_positions(params, fork(args.seed, i), len(chunk))
-        out_symbols.extend(embed(clean, key, chunk).symbols)
+        out_symbols.extend(embed(clean, key, msg_syms[i * c:(i + 1) * c]).symbols)
 
     blob = pack_container(m, params.n, k, len(msg_bytes), args.seed, out_symbols)
     Path(args.out).write_bytes(blob)
@@ -136,12 +144,10 @@ def cmd_embed(args) -> int:
 def cmd_extract(args) -> int:
     cont = unpack_container(Path(args.container).read_bytes())
     params = CodeParams(field=GF2m(cont.m), n=cont.n, k=cont.k)
-    c = args.stego
     seed = cont.seed if args.seed is None else args.seed
 
     msg_sym_total = (cont.message_len * 8 + cont.m - 1) // cont.m
-    _check_stego(params, c, msg_sym_total)
-    needed_cw = -(-msg_sym_total // c) if msg_sym_total else 0
+    needed_cw = _check_stego(params, args.stego, msg_sym_total)
     if needed_cw > cont.num_codewords:
         raise CorruptHeaderError(
             f"message needs {needed_cw} codewords, container holds "
@@ -152,11 +158,9 @@ def cmd_extract(args) -> int:
     msg_syms: list[int] = []
     any_failure = False
     received = iter(cont.symbols)
-    for i in range(cont.num_codewords):
+    for key in _keys(params, seed, args.stego, msg_sym_total, cont.num_codewords):
         # unpack_container checked n = 2^m - 1 and yields m-bit symbols.
         word = Codeword._of(params, list(islice(received, cont.n)))
-        count = min(c, max(0, msg_sym_total - i * c))
-        key = derive_positions(params, fork(seed, i), count)
         result = extract(word, key, params)
         data_syms.extend(result.data)
         msg_syms.extend(result.message)
@@ -173,7 +177,7 @@ def cmd_extract(args) -> int:
 
 
 # ----------------------------------------------------------------------
-# simulate / selftest
+# simulate
 # ----------------------------------------------------------------------
 def cmd_simulate(args) -> int:
     config = ExperimentConfig(
@@ -191,55 +195,12 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_selftest(args) -> int:
-    checks: list[tuple[str, bool]] = []
-
-    f = GF2m(3)
-    ok = all(
-        f.mul(a, f.mul(b, c)) == f.mul(f.mul(a, b), c)
-        and f.mul(a, b ^ c) == f.mul(a, b) ^ f.mul(a, c)
-        for a in range(8) for b in range(8) for c in range(8)
-    )
-    checks.append(("GF(8) field axioms", ok))
-
-    params = CodeParams(field=f, n=7, k=3)
-    word = encode(params, [1, 5, 2])
-    ok = True
-    for pos in range(7):
-        for delta in range(1, 8):
-            broken = list(word.symbols)
-            broken[pos] ^= delta
-            if decode(params, broken).corrected != word:
-                ok = False
-    checks.append(("RS(7,3) corrects every single error", ok))
-
-    p31 = CodeParams(field=GF2m(5), n=31, k=19)
-    data = list(range(19))
-    key = derive_positions(p31, 7, 2)
-    got = extract(embed(encode(p31, data), key, [9, 20]), key, p31)
-    checks.append(("RS(31,19) stego round trip", got.data == data and got.message == [9, 20]))
-
-    for mode in ("single_symbol", "burst"):
-        rep = run_experiment(ExperimentConfig(
-            params=p31, channel=ChannelSpec(mode=mode), master_seed=1,
-        ))
-        checks.append((f"100-trial {mode} experiment decodes all data",
-                       rep.pct_decoded_info == 100.0))
-
-    failed = 0
-    for name, ok in checks:
-        print(f"{'ok' if ok else 'FAIL'} - {name}")
-        failed += not ok
-    return 1 if failed else 0
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     handler = {
         "embed": cmd_embed,
         "extract": cmd_extract,
         "simulate": cmd_simulate,
-        "selftest": cmd_selftest,
     }[args.command]
     try:
         return handler(args)

@@ -17,7 +17,9 @@ The codeword count is floor(payload_bits / m) // n; requiring m >= 3 makes
 that unambiguous (the final byte's padding can never fake a whole extra
 codeword, since n >= 7 > 7/m).  There is deliberately no carrier-data
 length field, so recovered carrier data is zero-padded to the codeword
-grid; the message is byte-exact via its length field.
+grid; the message is byte-exact via its length field.  How ``rsstego
+embed`` lays carrier and message over that grid, the payload rule, is
+stated in the README's "Container format" section.
 
 At m = 8 a symbol is one byte, so the packers convert a payload with one
 ``bytes``/``list`` call; every other width goes through the MSB-first bit

@@ -254,13 +254,21 @@ def build_cauchy(params: CodeParams) -> CauchyGenerator:
 
 
 def encode(params: CodeParams, data: Sequence[int]) -> Codeword:
-    """Systematic encode: the k data symbols appear verbatim in the codeword."""
+    """Systematic encode: the k data symbols appear verbatim in the codeword.
+
+    Data symbols follow the ``Codeword`` rule: ``ValueError`` for one that
+    is not an integer in [0, q); integer types other than ``int`` are
+    stored as ``int``.
+    """
     if len(data) != params.k:
         raise LengthMismatchError(f"need {params.k} data symbols, got {len(data)}")
     q = params.field.q
     for d in data:
-        if not 0 <= d < q:
-            raise ValueError(f"data symbol {d} outside GF({q})")
+        if type(d) is not int or not 0 <= d < q:
+            # Some symbol is not an in-range int: convert the block by the
+            # Codeword rule, or raise.
+            data = _field_symbols(data, q, "data symbol")
+            break
     return Codeword._of(params, [*_parity(build_cauchy(params), data), *reversed(data)])
 
 

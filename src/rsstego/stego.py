@@ -73,20 +73,19 @@ class StegoKey:
     """Shared secret: where the message symbols live inside a codeword."""
 
     positions: tuple[int, ...]
-    seed: int | None = None
 
     def __len__(self) -> int:
         return len(self.positions)
 
 
 def check_key(params: CodeParams, key: StegoKey) -> None:
-    """Raise unless the key's positions are distinct, lie in [0, n) and
+    """Raise unless the key's positions are distinct ints in [0, n) and
     stay within the stego budget."""
+    for pos in key.positions:
+        if type(pos) is not int or not 0 <= pos < params.n:
+            raise ValueError(f"position {pos!r} is not an int in [0, {params.n})")
     if len(set(key.positions)) != len(key.positions):
         raise ValueError("stego positions must be distinct")
-    for pos in key.positions:
-        if not 0 <= pos < params.n:
-            raise ValueError(f"position {pos} outside [0, {params.n})")
     check_budget(params, len(key.positions), 0)
 
 
@@ -111,7 +110,7 @@ def derive_positions(
         if idx not in seen:
             seen.add(idx)
             positions.append(idx)
-    return StegoKey(positions=tuple(positions), seed=seed)
+    return StegoKey(positions=tuple(positions))
 
 
 def embed(clean: Codeword, key: StegoKey, message: SecretMessage) -> Codeword:

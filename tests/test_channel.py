@@ -31,8 +31,9 @@ def word31(rs31):
 def test_spec_validation():
     with pytest.raises(ValueError):
         ChannelSpec(mode="gaussian")
-    with pytest.raises(ValueError):
-        ChannelSpec(mode="burst", burst_bits=0)
+    for bits in (0, 2.5, 6.0, True, "6"):
+        with pytest.raises(ValueError):
+            ChannelSpec(mode="burst", burst_bits=bits)
 
 
 def test_mode_none(word31):

@@ -342,7 +342,7 @@ def test_cli_decode_failure_exit_code(workdir, rs31, capsys):
 
 
 # ----------------------------------------------------------------------
-# CLI simulate / selftest
+# CLI simulate
 # ----------------------------------------------------------------------
 def test_cli_simulate_stdout_format(tmp_path, capsys):
     rc = main(["simulate", "--mode", "none", "--trials", "10",
@@ -467,12 +467,6 @@ def test_cli_container_bytes_match_the_payload_rule(
     recovered = (workdir / "data.out").read_bytes()
     assert recovered[:data_len] == data
     assert not any(recovered[data_len:])
-
-
-def test_cli_selftest(capsys):
-    assert main(["selftest"]) == 0
-    out = capsys.readouterr().out
-    assert "FAIL" not in out
 
 
 # ----------------------------------------------------------------------

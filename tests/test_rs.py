@@ -121,6 +121,9 @@ def test_non_integer_symbols_rejected(rs31, bad):
         for word in ([bad] + [0] * 30, [0] * 30 + [bad]):
             with pytest.raises(ValueError, match="not an integer"):
                 check(rs31, word)
+    for data in ([bad] + [0] * 18, [0] * 18 + [bad]):
+        with pytest.raises(ValueError, match="not an integer"):
+            encode(rs31, data)
     key = derive_positions(rs31, 1, 2)
     with pytest.raises(ValueError, match="not an integer"):
         embed(encode(rs31, [0] * 19), key, [2, bad])
@@ -132,7 +135,10 @@ def test_integer_symbols_are_stored_as_int(rs31):
     key = derive_positions(rs31, 1, 2)
     stego = embed(encode(rs31, [0] * 19), key, [True, _Index(7)])
     assert [stego.symbols[p] for p in key.positions] == [1, 7]
-    for w in (word, stego):
+    clean = encode(rs31, [_Index(3), True] + [0] * 17)
+    assert clean.data[:2] == [3, 1]
+    assert clean == encode(rs31, [3, 1] + [0] * 17)
+    for w in (word, stego, clean):
         assert all(type(s) is int for s in w.symbols)
 
 

@@ -29,7 +29,6 @@ def test_derive_positions_deterministic(rs31):
     a = derive_positions(rs31, seed=123, count=4)
     b = derive_positions(rs31, seed=123, count=4)
     assert a.positions == b.positions
-    assert a.seed == 123
 
 
 def test_derive_positions_golden(rs31):
@@ -75,6 +74,10 @@ def test_extract_checks_key_as_embed_does(rs31):
         (StegoKey((31,)), ValueError),
         (StegoKey((3, 3)), ValueError),
         (StegoKey(tuple(range(7))), BudgetExceededError),
+        (StegoKey((1.0,)), ValueError),
+        (StegoKey((2, "3")), ValueError),
+        (StegoKey((True,)), ValueError),
+        (StegoKey(([1],)), ValueError),
     ]
     for key, error in bad_keys:
         with pytest.raises(error):
