@@ -9,9 +9,10 @@ Cauchy matrix of Lagrange interpolation, built with one field
 multiplication per product, and against long division by g(x) with one
 field multiplication per term.  The bit-packing reference reads one big
 int per byte string.  ``rssteg01_container`` writes an RSSTEG01
-container from the README's payload rule, without the CLI.  The codeword layout is stated position by position,
-the Hamming metric lives here because only tests use it, and the expected
-``%DS_M`` of a channel is an exact sum over its noise events.
+container from the README's payload rule, without the CLI.  The codeword
+layout is stated position by position, the Hamming metric lives here
+because only tests use it, and the expected ``%DS_M`` of a channel is an
+exact sum over its noise events.
 """
 
 from fractions import Fraction
