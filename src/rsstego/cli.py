@@ -11,8 +11,9 @@ machine-readable lines:
 payload rule of the README's "Container format" section, through
 ``_keys``, the one place that derives a codeword's key.
 
-Exit status: 0 on success, 1 when any codeword reports a decode failure or
-an input file is unusable, 2 for bad flags (argparse).
+Exit status: 0 on success, 1 when any codeword reports a decode failure,
+an input file is unusable or a flag's value is refused (such as
+``--trials 0``), 2 for bad flags (argparse).
 """
 
 from __future__ import annotations
@@ -180,8 +181,12 @@ def cmd_extract(args) -> int:
 # simulate
 # ----------------------------------------------------------------------
 def cmd_simulate(args) -> int:
+    if args.trials <= 0:
+        raise ValueError(f"--trials must be positive, got {args.trials}")
+    params = _code_params(args)
+    _check_stego(params, args.stego, 0)
     config = ExperimentConfig(
-        params=_code_params(args),
+        params=params,
         stego_count=args.stego,
         channel=ChannelSpec(mode=_MODE_FLAGS[args.mode], burst_bits=args.burst_bits),
         trials=args.trials,

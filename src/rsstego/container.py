@@ -21,10 +21,16 @@ grid; the message is byte-exact via its length field.  How ``rsstego
 embed`` lays carrier and message over that grid, the payload rule, is
 stated in the README's "Container format" section.
 
-At m = 8 a symbol is one byte, so the packers convert a payload with one
-``bytes``/``list`` call; every other width goes through the MSB-first bit
-loop.  Both give identical bytes.  Every symbol that
-``unpack_symbols`` yields is an m-bit field, so it lies in [0, 2^m).
+One algorithm packs every width.  Each symbol gets a byte lane of w = 8
+bits (m <= 8) or w = 16 bits (m > 8), converted to and from bytes in one
+call (``bytes``/``list``, or ``struct`` with the ``>H`` format).  The
+payload is then one int, and the m-bit fields move between lane spacing
+and m-bit spacing in ceil(log2 N) shift-mask steps for N symbols: step b
+moves the upper 2^b fields of every block of 2^(b+1) by (w - m) * 2^b
+bits (the "compress"/"expand" of Warren, *Hacker's Delight*, ch. 7).  At
+m = 8 and m = 16 a field fills its lane, so they take zero steps.  Every
+symbol that ``unpack_symbols`` yields is an m-bit field, so it lies in
+[0, 2^m).
 """
 
 from __future__ import annotations
@@ -49,44 +55,66 @@ class MessageTooLargeError(ValueError):
     """Message cannot be represented in the container header."""
 
 
+def _lane_bits(m: int) -> int:
+    """Width of the byte lane that holds one m-bit symbol."""
+    return 8 if m <= 8 else 16
+
+
+def _mask(count: int, m: int, w: int, b: int, offset: int) -> int:
+    """The m-bit fields that step b moves: in every block of 2^(b+1) lanes,
+    counted from the low end, the 2^b fields that start offset * 2^b bits
+    above the block's base.  Built from one period, repeated."""
+    half = 1 << b
+    period = ((1 << half * m) - 1) << offset * half
+    blocks = -(-count // (2 * half))
+    return int.from_bytes(period.to_bytes(half * w // 4, "big") * blocks, "big")
+
+
+def _steps(count: int, m: int, w: int) -> range:
+    """The b of every shift-mask step: none when a field fills its lane."""
+    return range((count - 1).bit_length() if w > m and count else 0)
+
+
 def pack_symbols(symbols, m: int) -> bytes:
     """Pack m-bit symbols MSB-first into bytes, zero-padding the tail.
 
-    Every symbol must lie in [0, 2^m), as all the library's symbols do; the
-    bit loop does not check this.
+    Each symbol first takes a lane of w = 8 bits (m <= 8) or 16 bits, so the
+    payload is one int of w-bit fields.  Step b, for b = 0, 1, ... up to the
+    top bit of count - 1, moves the upper 2^b fields of every block of
+    2^(b+1) down by (w - m) * 2^b bits, which leaves the fields m bits
+    apart.  m = 8 and m = 16 take zero steps.
+
+    Every symbol must lie in [0, 2^m), as all the library's symbols do; this
+    is not checked, and a symbol out of range gives wrong bytes or raises.
     """
-    if m == 8:
-        return bytes(symbols)
-    acc = 0
-    nbits = 0
-    out = bytearray()
-    for s in symbols:
-        acc = (acc << m) | s
-        nbits += m
-        while nbits >= 8:
-            nbits -= 8
-            out.append((acc >> nbits) & 0xFF)
-            acc &= (1 << nbits) - 1   # keep only unwritten bits: linear time
-    if nbits:
-        out.append((acc << (8 - nbits)) & 0xFF)
-    return bytes(out)
+    w = _lane_bits(m)
+    if w == 8:
+        lanes = bytes(symbols)
+    else:
+        symbols = tuple(symbols)
+        lanes = struct.pack(f">{len(symbols)}H", *symbols)
+    count = len(lanes) * 8 // w
+    x = int.from_bytes(lanes, "big")
+    for b in _steps(count, m, w):
+        t = x & _mask(count, m, w, b, w)
+        x ^= t ^ (t >> ((w - m) << b))
+    pad = -count * m % 8
+    return (x << pad).to_bytes((count * m + pad) // 8, "big")
 
 
 def unpack_symbols(data: bytes, m: int) -> list[int]:
-    """Inverse of pack_symbols; trailing bits short of a symbol are dropped."""
-    if m == 8:
-        return list(data)
-    out = []
-    acc = 0
-    nbits = 0
-    for byte in data:
-        acc = (acc << 8) | byte
-        nbits += 8
-        while nbits >= m:
-            nbits -= m
-            out.append(acc >> nbits)
-            acc &= (1 << nbits) - 1
-    return out
+    """Inverse of pack_symbols; trailing bits short of a symbol are dropped.
+
+    The steps of pack_symbols run in reverse, b from the top down, each
+    moving fields up into their lanes."""
+    w = _lane_bits(m)
+    count = len(data) * 8 // m
+    x = int.from_bytes(data, "big") >> (len(data) * 8 - count * m)
+    for b in reversed(_steps(count, m, w)):
+        t = x & _mask(count, m, w, b, m)
+        x ^= t ^ (t << ((w - m) << b))
+    lanes = x.to_bytes(count * w // 8, "big")
+    return list(lanes if w == 8 else struct.unpack(f">{count}H", lanes))
 
 
 def bytes_to_symbols(data: bytes, m: int) -> list[int]:

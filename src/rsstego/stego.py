@@ -53,15 +53,15 @@ def check_budget(params: CodeParams, stego_count: int, channel_symbols: int) -> 
 
 
 def check_key_request(params: CodeParams, count: int, pool: str) -> int:
-    """Raise unless pool is "parity" or "any" and count is an int >= 0;
-    return the number of positions in the pool."""
+    """Raise unless pool is "parity" or "any" and count is an int (not a
+    bool) >= 0; return the number of positions in the pool."""
     if pool == "parity":
         size = params.n_parity
     elif pool == "any":
         size = params.n
     else:
         raise ValueError(f"pool must be 'parity' or 'any', got {pool!r}")
-    if not isinstance(count, int):
+    if type(count) is not int:
         raise ValueError(f"count must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"count must be non-negative, got {count}")

@@ -7,12 +7,13 @@ by Gaussian elimination instead of Berlekamp-Massey.  The encoder, a
 shift register over packed multiples of g(x), is checked against the
 Cauchy matrix of Lagrange interpolation, built with one field
 multiplication per product, and against long division by g(x) with one
-field multiplication per term.  The bit-packing reference reads one big
-int per byte string.  ``rssteg01_container`` writes an RSSTEG01
-container from the README's payload rule, without the CLI.  The codeword
-layout is stated position by position, the Hamming metric lives here
-because only tests use it, and the expected ``%DS_M`` of a channel is an
-exact sum over its noise events.
+field multiplication per term.  The bit-packing references read one big
+int per byte string, or loop once per symbol and byte.
+``rssteg01_container`` writes an RSSTEG01 container from the README's
+payload rule, without the CLI.  The codeword layout is stated position
+by position, the Hamming metric lives here because only tests use it,
+and the expected ``%DS_M`` of a channel is an exact sum over its noise
+events.
 """
 
 from fractions import Fraction
@@ -287,7 +288,7 @@ def scalar_encode(params, matrix, data):
 
 
 # ----------------------------------------------------------------------
-# big-int bit unpacking
+# bit packing references
 # ----------------------------------------------------------------------
 def bigint_to_symbols(data, m, count):
     """The first `count` m-bit symbols of data read MSB-first as one big
@@ -296,6 +297,40 @@ def bigint_to_symbols(data, m, count):
     acc = int.from_bytes(data, "big")
     acc = acc << shift if shift >= 0 else acc >> -shift
     return [(acc >> (m * (count - 1 - i))) & ((1 << m) - 1) for i in range(count)]
+
+
+def bitloop_pack_symbols(symbols, m):
+    """m-bit symbols packed MSB-first, one loop pass per symbol, with the
+    last byte zero-padded."""
+    acc = 0
+    nbits = 0
+    out = bytearray()
+    for s in symbols:
+        acc = (acc << m) | s
+        nbits += m
+        while nbits >= 8:
+            nbits -= 8
+            out.append((acc >> nbits) & 0xFF)
+            acc &= (1 << nbits) - 1   # keep only unwritten bits: linear time
+    if nbits:
+        out.append((acc << (8 - nbits)) & 0xFF)
+    return bytes(out)
+
+
+def bitloop_unpack_symbols(data, m):
+    """Every whole m-bit symbol of data read MSB-first, one loop pass per
+    byte; trailing bits short of a symbol are dropped."""
+    out = []
+    acc = 0
+    nbits = 0
+    for byte in data:
+        acc = (acc << 8) | byte
+        nbits += 8
+        while nbits >= m:
+            nbits -= m
+            out.append(acc >> nbits)
+            acc &= (1 << nbits) - 1
+    return out
 
 
 # ----------------------------------------------------------------------

@@ -19,7 +19,12 @@ from rsstego.container import (
     unpack_symbols,
 )
 from rsstego.cli import main
-from oracles import bigint_to_symbols, rssteg01_container
+from oracles import (
+    bigint_to_symbols,
+    bitloop_pack_symbols,
+    bitloop_unpack_symbols,
+    rssteg01_container,
+)
 
 
 # ----------------------------------------------------------------------
@@ -46,6 +51,11 @@ def test_bytes_to_symbols_count():
     assert symbols_to_bytes(syms, 3, byte_len=1) == b"\xa5"
 
 
+# The step count changes at each power of two, so every count up to 70 and
+# each 2^j - 1, 2^j, 2^j + 1 for j <= 12.
+_COUNTS = sorted(set(range(71)) | {(1 << j) + d for j in range(13) for d in (-1, 0, 1)})
+
+
 @pytest.mark.parametrize("m", range(3, 17))
 def test_packers_match_bigint_reference(m):
     rnd = random.Random(100 + m)
@@ -53,15 +63,25 @@ def test_packers_match_bigint_reference(m):
         data = rnd.randbytes(size)
         assert bytes_to_symbols(data, m) == bigint_to_symbols(data, m, -(-size * 8 // m))
         assert unpack_symbols(data, m) == bigint_to_symbols(data, m, size * 8 // m)
+        assert unpack_symbols(data, m) == bitloop_unpack_symbols(data, m)
         assert symbols_to_bytes(bytes_to_symbols(data, m), m, byte_len=size) == data
-        symbols = [rnd.randrange(1 << m) for _ in range(rnd.randrange(1, 40))]
+    for count in _COUNTS:
+        symbols = [rnd.randrange(1 << m) for _ in range(count)]
         packed = pack_symbols(symbols, m)
+        assert packed == bitloop_pack_symbols(symbols, m)
         assert pack_symbols(tuple(symbols), m) == packed
         assert pack_symbols(iter(symbols), m) == packed
-        pad_bits = len(packed) * 8 - len(symbols) * m
+        pad_bits = len(packed) * 8 - count * m
         assert 0 <= pad_bits < 8
-        assert bigint_to_symbols(packed, m, len(symbols)) == symbols
+        assert bigint_to_symbols(packed, m, count) == symbols
         assert int.from_bytes(packed, "big") & ((1 << pad_bits) - 1) == 0
+        # Extra bytes leave a partial symbol (or whole ones) at the end.
+        for extra in (0, 1, 2):
+            data = packed + rnd.randbytes(extra)
+            unpacked = unpack_symbols(data, m)
+            assert unpacked == bitloop_unpack_symbols(data, m)
+            assert unpacked == bigint_to_symbols(data, m, len(data) * 8 // m)
+            assert unpacked[:count] == symbols
     assert pack_symbols(iter(()), m) == b""
 
 
@@ -179,6 +199,14 @@ def test_cli_embed_rejects_negative_stego(workdir, capsys):
     assert captured.out == ""
     assert captured.err == "error: --stego must be non-negative, got -1\n"
     assert not (workdir / "out.rss").exists()
+
+
+def test_cli_simulate_rejects_negative_stego(capsys):
+    rc = main(["simulate", "--stego", "-1", "--trials", "10"])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: --stego must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize("carrier", [b"", bytes(range(64))], ids=["empty", "64-bytes"])
@@ -375,6 +403,16 @@ def test_cli_simulate_burst(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "pct_decoded_info=100.0"
     assert 92.0 <= float(out[1].split("=")[1]) <= 100.0
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_cli_simulate_refuses_no_trials(tmp_path, capsys, trials):
+    rc = main(["simulate", "--trials", str(trials), "--out", str(tmp_path / "r")])
+    assert rc == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --trials must be positive, got {trials}\n"
+    assert not (tmp_path / "r").exists()
 
 
 def test_cli_rejects_bad_geometry(capsys):

@@ -40,7 +40,7 @@ def test_config_rejects_bad_pool_and_count(rs31):
         _single(rs31, pool="bogus", trials=0)
     with pytest.raises(ValueError, match="non-negative"):
         _single(rs31, stego_count=-1, trials=0)
-    for count in (2.0, 2.5):
+    for count in (2.0, 2.5, True):
         with pytest.raises(ValueError, match="must be an int"):
             _single(rs31, stego_count=count, trials=0)
 

@@ -1,4 +1,5 @@
-"""Property test: the decoder against the brute-force oracle (hypothesis)."""
+"""Property tests (hypothesis): the decoder against the brute-force oracle,
+and the container packers against the bit loop."""
 
 import pytest
 
@@ -6,7 +7,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
 from rsstego import CodeParams, GF2m, decode, encode
-from oracles import brute_force_decode
+from rsstego.container import pack_symbols, unpack_symbols
+from oracles import bitloop_pack_symbols, brute_force_decode
 
 # m <= 4 with t <= 3 keeps the oracle's subset search to at most 575 subsets.
 GEOMETRIES = [(2, 1), (3, 1), (3, 3), (3, 5), (4, 9), (4, 11), (4, 13)]
@@ -39,3 +41,19 @@ def test_decode_agrees_with_brute_force(case):
         assert result.corrected.symbols == corrected
         assert result.error_magnitudes == magnitudes
         assert result.error_positions == tuple(sorted(magnitudes))
+
+
+@st.composite
+def symbol_lists(draw):
+    """A width m and a list of m-bit symbols."""
+    m = draw(st.integers(3, 16))
+    return m, draw(st.lists(st.integers(0, (1 << m) - 1), max_size=300))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(symbol_lists())
+def test_packers_round_trip_and_match_the_bit_loop(case):
+    m, symbols = case
+    packed = pack_symbols(symbols, m)
+    assert packed == bitloop_pack_symbols(symbols, m)
+    assert unpack_symbols(packed, m)[:len(symbols)] == symbols

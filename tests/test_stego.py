@@ -45,6 +45,12 @@ def test_derive_positions_rejects_a_fractional_count(rs31):
                 derive_positions(rs31, 1, count, pool=pool)
 
 
+def test_derive_positions_rejects_a_bool_count(rs31):
+    for pool in ("parity", "any"):
+        with pytest.raises(ValueError, match="must be an int, got True"):
+            derive_positions(rs31, 1, True, pool=pool)
+
+
 def test_derive_positions_distinct_and_in_pool(rs31):
     for seed in range(50):
         key = derive_positions(rs31, seed=seed, count=6)
