@@ -90,14 +90,19 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # embed / extract
 # ----------------------------------------------------------------------
-def _check_stego(params: CodeParams, stego: int, message_symbols: int) -> int:
-    """Raise unless --stego symbols per codeword can carry the message and
-    fit the code's budget, whether or not any codeword fills up; return the
-    number of codewords the message needs."""
+def _check_stego_sign(stego: int, message_symbols: int = 0) -> None:
+    """Raise unless --stego is non-negative, and positive for a message."""
     if stego < 0:
         raise ValueError(f"--stego must be non-negative, got {stego}")
     if stego == 0 and message_symbols:
         raise ValueError("--stego must be positive to carry a non-empty message")
+
+
+def _check_stego(params: CodeParams, stego: int, message_symbols: int) -> int:
+    """Raise unless --stego symbols per codeword can carry the message and
+    fit the code's budget, whether or not any codeword fills up; return the
+    number of codewords the message needs."""
+    _check_stego_sign(stego, message_symbols)
     check_budget(params, stego, 0)
     return -(-message_symbols // stego) if message_symbols else 0
 
@@ -184,7 +189,7 @@ def cmd_simulate(args) -> int:
     if args.trials <= 0:
         raise ValueError(f"--trials must be positive, got {args.trials}")
     params = _code_params(args)
-    _check_stego(params, args.stego, 0)
+    _check_stego_sign(args.stego)   # ExperimentConfig checks the budget, channel included
     config = ExperimentConfig(
         params=params,
         stego_count=args.stego,

@@ -17,10 +17,12 @@ x, hence a unit, so the ring is a field and p is irreducible as well as
 primitive.
 
 Polynomials over the field are lists of ints, index = power of x; the
-empty list is the zero polynomial.  The codec needs one operation on them,
-the Horner evaluation ``poly_eval``, which computes the syndromes and the
-Forney values.  The decoder builds its polynomials inline, and the Chien
-scan sums the locator's terms in logs instead.
+empty list is the zero polynomial, and ``poly_eval`` is their Horner
+evaluation.  The codec calls none of ``mul``, ``div``, ``alpha_pow`` and
+``poly_eval``: the encoder XORs packed multiples of g(x), and the decoder
+reads ``_exp`` and ``_log`` itself and multiplies by adding logs, which
+saves a method call per product.  These methods are the field's public
+arithmetic, and the tests' reference.
 """
 
 from __future__ import annotations

@@ -13,20 +13,22 @@ metrics:
 * error_location_hist       - channel-error count per codeword position;
 * stego_location_hist       - stego-position count per codeword position.
 
-Everything is a deterministic function of master_seed.  ``run_trial`` is
+Everything is a deterministic function of master_seed.  This module is
 the one place that derives seeds: trial i draws its data, message, key and
 channel noise from the substreams fork(fork(master_seed, purpose), i), so
 identical master seeds give identical reports and any trial can be replayed
-on its own.  The pool, the stego count and the stego budget (against the
-channel's worst case) are checked once, when the config is built.  Trials
-are independent, so they could run concurrently; aggregation is ordered by
-trial index either way.
+on its own.  The config forks master_seed once per purpose, and
+``run_trial`` forks those roots once per trial.  The pool, the stego count
+and the stego budget (against the channel's worst case) are checked once,
+when the config is built.  Trials are independent, so they could run
+concurrently; aggregation is ordered by trial index either way.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from .channel import ChannelSpec, apply_noise, max_affected_symbols
@@ -56,6 +58,13 @@ class ExperimentConfig:
         if self.trials < 0:
             raise ValueError(f"trials must be non-negative, got {self.trials}")
 
+    @cached_property
+    def _substream_roots(self) -> tuple[int, ...]:
+        """fork(master_seed, purpose) for the four purposes, in tag order:
+        the same for every trial, so derived once per config."""
+        return tuple(fork(self.master_seed, purpose)
+                     for purpose in (_DATA, _MESSAGE, _KEY, _CHANNEL))
+
 
 @dataclass
 class TrialRecord:
@@ -83,14 +92,14 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
     params = config.params
     q = params.field.q
     data_seed, msg_seed, key_seed, noise_seed = (
-        fork(fork(config.master_seed, purpose), trial_index)
-        for purpose in (_DATA, _MESSAGE, _KEY, _CHANNEL)
+        fork(root, trial_index) for root in config._substream_roots
     )
 
-    data_rng = SplitMix64(data_seed)
-    msg_rng = SplitMix64(msg_seed)
-    data = [data_rng.below(q) for _ in range(params.k)]
-    message = [msg_rng.below(q) for _ in range(config.stego_count)]
+    # below(q) without its bound check, q being positive.
+    next_data = SplitMix64(data_seed).next_u64
+    next_msg = SplitMix64(msg_seed).next_u64
+    data = [next_data() % q for _ in range(params.k)]
+    message = [next_msg() % q for _ in range(config.stego_count)]
     key = derive_positions(params, key_seed, config.stego_count, pool=config.pool)
 
     clean = encode(params, data)

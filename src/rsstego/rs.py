@@ -65,15 +65,22 @@ magnitude (``DecodeResult.error_magnitudes``), and ``decode`` builds the
 corrected word in one place, as the received word XOR that pattern.  A
 failure returns the received word itself and an empty pattern.
 
+The syndrome path runs in the log domain, without ``GF2m.mul``: a
+product is one lookup in the doubled exp table at the sum of two logs.
 Syndromes are linear and vanish on codewords, so S_j(r) = S_j(e): they
 come from the parity remainder, and the n - k Horner passes run over the
-n - k parity positions instead of all n.  ``syndromes`` re-encodes the data
-block of the word it is given, unless that block is all zero, since zero
-data re-encodes to zero parity; ``decode`` hands it e, so a decode
-re-encodes once.  The Chien scan stays in the log domain: with the
-locator's nonzero terms kept as (log c_j, j), position i is in error iff
-the XOR of alpha^(log c_j - i*j) over those terms is zero, one table
-lookup per term and position and no multiplication.
+n - k parity positions instead of all n, each step adding j to the log of
+the accumulator.  ``syndromes`` re-encodes the data block of the word it
+is given, unless that block is all zero, since zero data re-encodes to
+zero parity; ``decode`` hands it e, so a decode re-encodes once.  The
+syndromes' logs are taken once.  Berlekamp-Massey keeps the locator as
+values and adds the log of a coefficient to the log of a syndrome, or of
+the scale disc / prev_disc, for each product.  The Chien scan keeps the
+locator's nonzero terms as (log c_j, j): position i is in error iff the
+XOR of alpha^(log c_j - i*j) over those terms is zero, one table lookup
+per term and position.  Forney's omega(X^-1) and loc'(X^-1) are the same
+kind of log-term sums, and a magnitude is alpha to the difference of
+their logs.
 """
 
 from __future__ import annotations
@@ -319,9 +326,19 @@ def syndromes(params: CodeParams, received) -> list[int]:
     if any(data):   # zero data re-encodes to zero parity
         parity = _parity(build_cauchy(params), data)
         remainder = [a ^ b for a, b in zip(parity, remainder)]
-    return [
-        f.poly_eval(remainder, f.alpha_pow(j)) for j in range(1, params.n_parity + 1)
-    ]
+    # One Horner pass per S_j = e(alpha^j), from the top coefficient down;
+    # multiplying by alpha^j adds j to the log.
+    exp, log = f._exp, f._log
+    remainder.reverse()
+    out = []
+    for j in range(1, params.n_parity + 1):
+        acc = 0
+        for e in remainder:
+            if acc:
+                acc = exp[log[acc] + j]
+            acc ^= e
+        out.append(acc)
+    return out
 
 
 @dataclass
@@ -343,31 +360,37 @@ class DecodeResult:
         return tuple(sorted(self.error_magnitudes))
 
 
-def _berlekamp_massey(f: GF2m, synd: Sequence[int]) -> tuple[list[int], int]:
+def _berlekamp_massey(
+    f: GF2m, synd: Sequence[int], log_synd: Sequence[int]
+) -> tuple[list[int], int]:
     """Minimal LFSR for synd: the error locator (ascending coeffs,
     loc[0] = 1, degree at most the length, zero high coefficients kept)
-    and its length L."""
+    and its length L.  log_synd holds the syndromes' logs, read only where
+    the syndrome is nonzero; products are sums of logs."""
+    n, exp, log = f.q - 1, f._exp, f._log
     loc = [1]
     prev = [1]
     length = 0
     gap = 1
-    prev_disc = 1
+    log_prev_disc = 0
     for idx, s in enumerate(synd):
         disc = s
         for i in range(1, min(length, len(loc) - 1) + 1):
-            if loc[i] and synd[idx - i]:
-                disc ^= f.mul(loc[i], synd[idx - i])
+            c = loc[i]
+            if c and synd[idx - i]:
+                disc ^= exp[log[c] + log_synd[idx - i]]
         if disc == 0:
             gap += 1
             continue
-        scale = f.div(disc, prev_disc)
-        new = list(loc) + [0] * max(0, len(prev) + gap - len(loc))
-        for i, p in enumerate(prev):
+        log_disc = log[disc]
+        log_scale = (log_disc - log_prev_disc) % n   # disc / prev_disc
+        new = loc + [0] * max(0, len(prev) + gap - len(loc))
+        for i, p in enumerate(prev, gap):
             if p:
-                new[i + gap] ^= f.mul(scale, p)
+                new[i] ^= exp[log_scale + log[p]]
         if 2 * length <= idx:
             prev = loc
-            prev_disc = disc
+            log_prev_disc = log_disc
             length = idx + 1 - length
             gap = 1
         else:
@@ -420,7 +443,9 @@ def _syndrome_pattern(params: CodeParams, error: list[int]) -> dict[int, int] | 
     f = params.field
     # S(e) = S(r); e holds n in-range symbols, so it is not checked again.
     synd = syndromes(params, Codeword._of(params, [*error, *[0] * params.k]))
-    loc, length = _berlekamp_massey(f, synd)
+    n, exp, log = params.n, f._exp, f._log
+    log_synd = [log[s] for s in synd]   # log[0] is a placeholder, never read
+    loc, length = _berlekamp_massey(f, synd, log_synd)
     if length > params.t:
         return None
 
@@ -428,7 +453,6 @@ def _syndrome_pattern(params: CodeParams, error: list[int]) -> dict[int, int] | 
     # the log domain over the locator's nonzero terms c_j x^j.  Positions
     # come out in ascending order; a locator of degree d <= L has at most
     # d roots, so L roots also means degree L.
-    n, exp, log = params.n, f._exp, f._log
     terms = [(log[c], j) for j, c in enumerate(loc) if c]
     positions = []
     for i in range(n):
@@ -445,16 +469,25 @@ def _syndrome_pattern(params: CodeParams, error: list[int]) -> dict[int, int] | 
     # Forney with first consecutive root alpha^1:
     #   Y = omega(X^-1) / loc'(X^-1),  omega = S(x) * loc(x) mod x^L,
     # since loc generates every S_j, the terms L .. n-k-1 of S * loc vanish.
-    # loc has distinct roots, so loc' does not vanish at them.
+    # loc has distinct roots, so loc' does not vanish at them, and no Y is
+    # 0 (module docstring), so both values have logs.
     omega = [0] * length
     for i, c in enumerate(loc[:length]):
-        for j, s in enumerate(synd[:length - i]):
-            if c and s:
-                omega[i + j] ^= f.mul(c, s)
-    # In characteristic 2 the formal derivative keeps the odd powers only.
-    deriv = [c if j % 2 else 0 for j, c in enumerate(loc)][1:]
+        if c:
+            log_c = log[c]
+            for j, s in enumerate(synd[:length - i]):
+                if s:
+                    omega[i + j] ^= exp[log_c + log_synd[j]]
+    omega_terms = [(log[c], j) for j, c in enumerate(omega) if c]
+    # In characteristic 2 the formal derivative keeps the odd powers only:
+    # c_j x^j becomes c_j x^(j-1) for odd j.
+    deriv_terms = [(log_c, j - 1) for log_c, j in terms if j % 2]
     pattern = {}
     for i in positions:
-        x_inv = f.alpha_pow(-i)
-        pattern[i] = f.div(f.poly_eval(omega, x_inv), f.poly_eval(deriv, x_inv))
+        num = den = 0
+        for log_c, j in omega_terms:
+            num ^= exp[(log_c - i * j) % n]
+        for log_c, j in deriv_terms:
+            den ^= exp[(log_c - i * j) % n]
+        pattern[i] = exp[log[num] - log[den] + n]
     return pattern

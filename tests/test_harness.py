@@ -8,7 +8,10 @@ from rsstego import (
     BudgetExceededError,
     ChannelSpec,
     ExperimentConfig,
+    SplitMix64,
     export_report,
+    fork,
+    harness,
     run_experiment,
     run_trial,
 )
@@ -91,6 +94,40 @@ def test_determinism(rs31):
     assert a == b
     c = run_experiment(_single(rs31, master_seed=43))
     assert a != c
+
+
+@pytest.mark.parametrize("seed", [0, 1, 987654321])
+def test_trial_data_and_message_come_from_their_substreams(rs31, monkeypatch, seed):
+    """Trial i draws its data and its message as repeated below(q) from
+    SplitMix64(fork(fork(master_seed, purpose), i)), purpose 0 for the data
+    and 1 for the message."""
+    sent = []
+    encode, embed = harness.encode, harness.embed
+
+    def recording_encode(params, data):
+        sent.append(("data", list(data)))
+        return encode(params, data)
+
+    def recording_embed(clean, key, message):
+        sent.append(("message", list(message)))
+        return embed(clean, key, message)
+
+    monkeypatch.setattr(harness, "encode", recording_encode)
+    monkeypatch.setattr(harness, "embed", recording_embed)
+    config = _single(rs31, stego_count=3, master_seed=seed)
+    q = rs31.field.q
+
+    def draws(purpose, trial, count):
+        rng = SplitMix64(fork(fork(seed, purpose), trial))
+        return [rng.below(q) for _ in range(count)]
+
+    for trial in (0, 1, 7):
+        sent.clear()
+        run_trial(config, trial)
+        assert sent == [
+            ("data", draws(0, trial, rs31.k)),
+            ("message", draws(1, trial, 3)),
+        ]
 
 
 @pytest.mark.parametrize("stego_count", [0, 1, 2, 4])

@@ -419,7 +419,8 @@ def _counting(monkeypatch, owner, name):
 def test_decode_parity_only_errors_skip_syndrome_decoding(rs31, monkeypatch):
     """Up to t errors in the parity block: the re-encoded word is the answer,
     found without Berlekamp-Massey or any field multiplication.  One error
-    in the data block takes the syndrome path."""
+    in the data block takes the syndrome path, which multiplies by adding
+    logs and so calls ``GF2m.mul`` no more than the shortcut does."""
     bm_calls = _counting(monkeypatch, rs, "_berlekamp_massey")
     mul_calls = _counting(monkeypatch, GF2m, "mul")
     word = encode(rs31, list(range(19)))
@@ -437,7 +438,7 @@ def test_decode_parity_only_errors_skip_syndrome_decoding(rs31, monkeypatch):
     received[rs31.n_parity] ^= 1   # still six errors, one of them in the data
     result = decode(rs31, received)
     assert not result.failure and result.corrected == word
-    assert len(bm_calls) == 1 and mul_calls
+    assert len(bm_calls) == 1 and mul_calls == []
 
 
 def test_decode_syndrome_path_calls_syndromes_and_parity_once(rs31, monkeypatch):
@@ -590,6 +591,34 @@ def test_decode_returns_exact_error_patterns(m):
         assert not result.failure
         assert result.corrected == word
         assert result.error_positions == tuple(sorted(positions))
+        assert result.error_magnitudes == magnitudes
+
+
+# One geometry per m = 11..16 with n - k = 6 (t = 3), RS(2047,2041) up to
+# RS(65535,65529).  Data-block errors take the syndrome path, and the Chien
+# scan and Forney's formula then work with logs and positions up to n - 1,
+# the range where an index could leave the doubled exp table.
+@pytest.mark.parametrize("m", range(11, 17))
+def test_syndrome_path_at_large_m(m):
+    n = (1 << m) - 1
+    params = CodeParams(field=GF2m(m), n=n, k=n - 6)
+    rnd = random.Random(90 + m)
+    q = params.field.q
+    word = encode(params, [rnd.randrange(q) for _ in range(params.k)])
+    data_block = range(params.n_parity, n)
+    # t errors in the data block, the top position among them; then one
+    # data-block and one parity-block error.
+    for positions in ([n - 1, *rnd.sample(data_block[:-1], params.t - 1)],
+                      [rnd.choice(data_block), rnd.randrange(params.n_parity)]):
+        received = list(word)
+        magnitudes = {p: rnd.randrange(1, q) for p in positions}
+        for p, y in magnitudes.items():
+            received[p] ^= y
+        if len(positions) == params.t:
+            assert syndromes(params, received) == direct_syndromes(params, received)
+        result = decode(params, received)
+        assert not result.failure
+        assert result.corrected == word
         assert result.error_magnitudes == magnitudes
 
 
