@@ -28,8 +28,7 @@ payload is then one int, and the m-bit fields move between lane spacing
 and m-bit spacing in ceil(log2 N) shift-mask steps for N symbols: step b
 moves the upper 2^b fields of every block of 2^(b+1) by (w - m) * 2^b
 bits (the "compress"/"expand" of Warren, *Hacker's Delight*, ch. 7).  At
-m = 8 and m = 16 a field fills its lane, so they take zero steps, and the
-lanes are the payload as they are, with no int in between.  Every
+m = 8 and m = 16 a field fills its lane, so they take zero steps.  Every
 symbol that ``unpack_symbols`` yields is an m-bit field, so it lies in
 [0, 2^m).
 """
@@ -83,8 +82,7 @@ def pack_symbols(symbols, m: int) -> bytes:
     payload is one int of w-bit fields.  Step b, for b = 0, 1, ... up to the
     top bit of count - 1, moves the upper 2^b fields of every block of
     2^(b+1) down by (w - m) * 2^b bits, which leaves the fields m bits
-    apart.  When no step runs and no pad is needed (m = 8 and m = 16), the
-    lanes are returned as they are.
+    apart.  m = 8 and m = 16 take zero steps.
 
     Every symbol must lie in [0, 2^m), as all the library's symbols do; this
     is not checked, and a symbol out of range gives wrong bytes or raises.
@@ -96,14 +94,11 @@ def pack_symbols(symbols, m: int) -> bytes:
         symbols = tuple(symbols)
         lanes = struct.pack(f">{len(symbols)}H", *symbols)
     count = len(lanes) * 8 // w
-    steps = _steps(count, m, w)
-    pad = -count * m % 8
-    if not steps and not pad:   # every field fills its lane
-        return lanes
     x = int.from_bytes(lanes, "big")
-    for b in steps:
+    for b in _steps(count, m, w):
         t = x & _mask(count, m, w, b, w)
         x ^= t ^ (t >> ((w - m) << b))
+    pad = -count * m % 8
     return (x << pad).to_bytes((count * m + pad) // 8, "big")
 
 
@@ -111,19 +106,14 @@ def unpack_symbols(data: bytes, m: int) -> list[int]:
     """Inverse of pack_symbols; trailing bits short of a symbol are dropped.
 
     The steps of pack_symbols run in reverse, b from the top down, each
-    moving fields up into their lanes.  When no step runs and no trailing
-    bits are dropped, the data are the lanes."""
+    moving fields up into their lanes."""
     w = _lane_bits(m)
     count = len(data) * 8 // m
-    steps = _steps(count, m, w)
-    tail = len(data) * 8 - count * m
-    lanes = data   # when every field fills its lane
-    if steps or tail:
-        x = int.from_bytes(data, "big") >> tail
-        for b in reversed(steps):
-            t = x & _mask(count, m, w, b, m)
-            x ^= t ^ (t << ((w - m) << b))
-        lanes = x.to_bytes(count * w // 8, "big")
+    x = int.from_bytes(data, "big") >> (len(data) * 8 - count * m)
+    for b in reversed(_steps(count, m, w)):
+        t = x & _mask(count, m, w, b, m)
+        x ^= t ^ (t << ((w - m) << b))
+    lanes = x.to_bytes(count * w // 8, "big")
     return list(lanes if w == 8 else struct.unpack(f">{count}H", lanes))
 
 

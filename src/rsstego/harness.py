@@ -95,11 +95,10 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         fork(root, trial_index) for root in config._substream_roots
     )
 
-    # below(q) without its bound check, q being positive.
-    next_data = SplitMix64(data_seed).next_u64
-    next_msg = SplitMix64(msg_seed).next_u64
-    data = [next_data() % q for _ in range(params.k)]
-    message = [next_msg() % q for _ in range(config.stego_count)]
+    data_rng = SplitMix64(data_seed)
+    msg_rng = SplitMix64(msg_seed)
+    data = [data_rng.below(q) for _ in range(params.k)]
+    message = [msg_rng.below(q) for _ in range(config.stego_count)]
     key = derive_positions(params, key_seed, config.stego_count, pool=config.pool)
 
     clean = encode(params, data)

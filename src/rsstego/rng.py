@@ -45,11 +45,8 @@ class SplitMix64:
         self._state = seed & MASK64
 
     def next_u64(self) -> int:
-        # mix64 of the advanced state, written out: one call per draw.
-        self._state = z = (self._state + GOLDEN) & MASK64
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
-        return z ^ (z >> 31)
+        self._state = (self._state + GOLDEN) & MASK64
+        return mix64(self._state)
 
     def below(self, bound: int) -> int:
         """Uniform draw in [0, bound)."""

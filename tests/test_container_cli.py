@@ -10,7 +10,6 @@ from rsstego import (
     pack_container,
     unpack_container,
 )
-from rsstego import container
 from rsstego.container import (
     HEADER_SIZE,
     MAGIC,
@@ -84,38 +83,6 @@ def test_packers_match_bigint_reference(m):
             assert unpacked == bigint_to_symbols(data, m, len(data) * 8 // m)
             assert unpacked[:count] == symbols
     assert pack_symbols(iter(()), m) == b""
-
-
-@pytest.mark.parametrize("m", range(3, 17))
-def test_packers_skip_the_int_when_no_step_runs(m, monkeypatch):
-    """With no shift-mask step to run and no pad or trailing bits, the lanes
-    are the packing: neither direction reads the payload as one int."""
-    calls = []
-
-    class CountingInt(int):
-        @staticmethod
-        def from_bytes(*args, **kwargs):
-            calls.append(args)
-            return int.from_bytes(*args, **kwargs)
-
-    monkeypatch.setattr(container, "int", CountingInt, raising=False)
-    w = container._lane_bits(m)
-    rnd = random.Random(300 + m)
-    for count in (0, 1, 2, 3, 8, 9, 100):
-        symbols = [rnd.randrange(1 << m) for _ in range(count)]
-        calls.clear()
-        packed = pack_symbols(symbols, m)
-        direct = not container._steps(count, m, w) and count * m % 8 == 0
-        assert (calls == []) == direct
-        assert packed == bitloop_pack_symbols(symbols, m)
-
-        calls.clear()
-        unpacked = unpack_symbols(packed, m)
-        bits = len(packed) * 8
-        direct = not container._steps(bits // m, m, w) and bits % m == 0
-        assert (calls == []) == direct
-        assert unpacked == bitloop_unpack_symbols(packed, m)
-        assert unpacked[:count] == symbols
 
 
 def test_container_header_roundtrip():
