@@ -11,7 +11,7 @@ from rsstego import DEFAULT_PRIMITIVE_POLY, GF2m
 
 f = GF2m(3)  # x^3 + x + 1
 print(f"Field: {f}")
-print(f"q = {f.q} elements, alpha = {f.alpha} (the polynomial 'x')\n")
+print(f"q = {f.q} elements, alpha = 2 (the polynomial 'x')\n")
 
 print("Powers of alpha cover every nonzero element exactly once:")
 for i in range(f.q - 1):

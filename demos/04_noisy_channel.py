@@ -35,14 +35,14 @@ spec = ChannelSpec(mode="burst", burst_bits=6)
 for trial in range(4):
     _, event = apply_noise(word, spec, fork(1, trial))
     print(f"  trial {trial}: bit offset {event.bit_offset:3d} -> "
-          f"symbols {sorted(event.affected_positions)}, deltas {dict(event.deltas)}")
+          f"symbols {sorted(event.deltas)}, deltas {dict(event.deltas)}")
 print()
 print("with 5-bit symbols a 6-bit window always straddles two symbols,")
 print("but it only damages the ones where a bit actually flipped:")
 sizes = Counter()
 for trial in range(2000):
     _, event = apply_noise(word, spec, fork(1, trial))
-    sizes[len(event.affected_positions)] += 1
+    sizes[len(event.deltas)] += 1
 print(f"  affected-symbol count over 2000 bursts: {dict(sorted(sizes.items()))}")
 print("  at most 2 <= t = 6, so a burst plus 2 stego symbols never "
       "overwhelms the decoder")

@@ -55,11 +55,6 @@ class ErrorEvent:
     deltas: Mapping[int, int]
     bit_offset: int | None = None
 
-    @property
-    def affected_positions(self) -> frozenset[int]:
-        """The symbols the event changed."""
-        return frozenset(self.deltas)
-
 
 def max_affected_symbols(spec: ChannelSpec, m: int) -> int:
     """Worst-case number of symbols one noise event can change."""

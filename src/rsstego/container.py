@@ -6,7 +6,7 @@ Layout (all integers big-endian):
     0       8     magic "RSSTEG01"
     8       1     m   (symbol width in bits, 3..16)
     9       2     n   (codeword length, must equal 2^m - 1)
-    11      2     k   (data symbols per codeword)
+    11      2     k   (data symbols per codeword, 1..n-2 so that t >= 1)
     13      4     message length in BYTES
     17      8     key seed
     25      ...   payload: all codeword symbols concatenated and packed
@@ -172,8 +172,8 @@ def unpack_container(blob: bytes) -> Container:
         raise CorruptHeaderError(f"symbol width m={m} outside [3, 16]")
     if n != (1 << m) - 1:
         raise CorruptHeaderError(f"n={n} but 2^{m} - 1 = {(1 << m) - 1}")
-    if not 0 < k < n:
-        raise CorruptHeaderError(f"k={k} outside (0, {n})")
+    if not 0 < k <= n - 2:   # t = (n - k) // 2 >= 1
+        raise CorruptHeaderError(f"k={k} outside [1, {n - 2}]")
     symbols = unpack_symbols(blob[HEADER_SIZE:], m)
     del symbols[len(symbols) // n * n:]   # in place: one copy, the tuple
     return Container(

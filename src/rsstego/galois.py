@@ -61,7 +61,7 @@ class GF2m:
     power of x, hence a unit: the modulus is irreducible and primitive.
     """
 
-    __slots__ = ("m", "q", "primitive_poly", "alpha", "_exp", "_log")
+    __slots__ = ("m", "q", "primitive_poly", "_exp", "_log")
 
     def __init__(self, m: int):
         if not 2 <= m <= 16:
@@ -69,7 +69,6 @@ class GF2m:
         self.m = m
         self.q = 1 << m
         self.primitive_poly = poly = DEFAULT_PRIMITIVE_POLY[m]
-        self.alpha = 2
 
         # exp table doubled so mul/div never need an explicit modulo.
         order = self.q - 1

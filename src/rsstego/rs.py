@@ -57,8 +57,9 @@ success needs no re-check of the corrected word:
 codeword; beyond t errors the result is either a flagged failure or a
 miscorrection to some other valid codeword.  Because the locator generates
 the whole syndrome sequence, the coefficients L .. n-k-1 of S(x) * loc(x)
-vanish, so Forney's omega keeps only its first L terms; and a degree-L
-locator has at most L roots, so the Chien scan stops at the L-th.
+vanish, so Forney's omega keeps only its first L terms; and a locator of
+degree at most L has at most L roots, so a scan that finds L of them has
+found them all.
 
 Either path yields the error pattern, a map from position to nonzero
 magnitude (``DecodeResult.error_magnitudes``), and ``decode`` builds the
@@ -68,24 +69,44 @@ failure returns the received word itself and an empty pattern.
 The syndrome path runs in the log domain, without ``GF2m.mul``: a
 product is one lookup in the doubled exp table at the sum of two logs.
 Syndromes are linear and vanish on codewords, so S_j(r) = S_j(e): they
-come from the parity remainder, and the n - k Horner passes run over the
-n - k parity positions instead of all n, each step adding j to the log of
-the accumulator.  ``syndromes`` re-encodes the data block of the word it
-is given, unless that block is all zero, since zero data re-encodes to
-zero parity; ``decode`` hands it e, so a decode re-encodes once.  The
-syndromes' logs are taken once.  Berlekamp-Massey keeps the locator as
-values and adds the log of a coefficient to the log of a syndrome, or of
-the scale disc / prev_disc, for each product.  The Chien scan keeps the
-locator's nonzero terms as (log c_j, j): position i is in error iff the
-XOR of alpha^(log c_j - i*j) over those terms is zero, one table lookup
-per term and position.  Forney's omega(X^-1) and loc'(X^-1) are the same
-kind of log-term sums, and a magnitude is alpha to the difference of
-their logs.
+come from the parity remainder e_0 .. e_(n-k-1).  ``syndromes`` re-encodes
+the data block of the word it is given, unless that block is all zero,
+since zero data re-encodes to zero parity; ``decode`` hands it e, so a
+decode re-encodes once.
+
+Both the syndromes and the Chien scan evaluate a sparse polynomial, given
+as log terms (log c, j), at a geometric run of points, and both take one
+C-level step per term rather than one per term and point.  The term c x^j
+at alpha^(s + sigma*t), t = 0, 1, .., is exp[log c + j*s + j*sigma*t]: a
+strided slice of the "exp run", exp[0 .. n) repeated.  Each slice becomes
+an int with ``int.from_bytes``, the ints are XORed, and the lanes are read
+back once.  The syndromes take the remainder's terms (log e_i, i) at
+alpha^1 .. alpha^(n-k), the first n - k lanes of run[log e_i + i :: i]; the
+Chien scan takes the locator's terms (log c_j, j) at alpha^-i for positions
+i = 0 .. n-1, the slice run[log c_j + j*n : log c_j : -j] of n lanes, and
+position i is in error iff its lane is zero.  A constant term is its value
+repeated.  With log c < n, i < n-k and j <= t, every lane a slice reads
+lies below n + max((n-k-1)(n-k), t*n), the run's length: 217 lanes at
+RS(31,19), 4,335 at RS(255,223) and 34,799 at RS(2047,2015), never more
+than the q (n-k) lanes of the encoder's table.  A lane is one byte of a
+``bytes`` run when m <= 8 and one item of an ``array('H')`` run when m > 8,
+the encoder's 8/16 split (a ``bytes`` slice converts a little faster than
+an ``array('B')`` one).  The run is built by the first ``syndromes`` call
+of a geometry and cached like the encoder but apart from it, so
+``build_cauchy`` and the words that never reach the syndrome path do not
+pay for it.
+
+Berlekamp-Massey keeps the locator as values and adds the log of a
+coefficient to the log of a syndrome, or of the scale disc / prev_disc,
+for each product; the syndromes' logs are taken once.  Forney's
+omega(X^-1) and loc'(X^-1) are log-term sums at the L error positions
+only, and a magnitude is alpha to the difference of their logs.
 """
 
 from __future__ import annotations
 
 import struct
+from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from operator import index
@@ -321,24 +342,48 @@ def syndromes(params: CodeParams, received) -> list[int]:
     symbol that is not an integer in [0, q) ``ValueError``.
     """
     received = _received(params, received)
-    f, data = params.field, received.data
-    remainder = received.symbols[:params.n_parity]
+    data, count = received.data, params.n_parity
+    remainder = received.symbols[:count]
     if any(data):   # zero data re-encodes to zero parity
         parity = _parity(build_cauchy(params), data)
         remainder = [a ^ b for a, b in zip(parity, remainder)]
-    # One Horner pass per S_j = e(alpha^j), from the top coefficient down;
-    # multiplying by alpha^j adds j to the log.
-    exp, log = f._exp, f._log
-    remainder.reverse()
-    out = []
-    for j in range(1, params.n_parity + 1):
-        acc = 0
-        for e in remainder:
-            if acc:
-                acc = exp[log[acc] + j]
-            acc ^= e
-        out.append(acc)
-    return out
+    # Term e_i x^i at alpha^j, j = 1 .. n-k, is exp[log e_i + i*j]: one
+    # strided slice of the run per nonzero term, the constant e_0 repeated.
+    run, log = _exp_run(params), params.field._log
+    acc = 0
+    for i, e in enumerate(remainder):
+        if e:
+            start = log[e] + i
+            row = run[start:start + count * i:i] if i else run[start:start + 1] * count
+            acc ^= int.from_bytes(row, "little")
+    return list(_lanes(params, acc, count))
+
+
+@lru_cache(maxsize=CAUCHY_CACHE_SIZE)
+def _exp_run(params: CodeParams) -> bytes | array:
+    """exp[0 .. n) repeated over n + max((n-k-1)(n-k), t*n) lanes, one byte
+    each when m <= 8 and an ``array('H')`` lane when m > 8.
+
+    exp[l + i*j] for j = 1 .. n-k and exp[l + j*n - j*i] for i = 0 .. n-1,
+    with l < n, i < n-k and j <= t, all fall inside it.  Built by the first
+    ``syndromes`` call of a geometry, never by ``build_cauchy``.
+    """
+    n, n_parity = params.n, params.n_parity
+    size = n + max((n_parity - 1) * n_parity, params.t * n)
+    exp = params.field._exp[:n]
+    reps = -(-size // n)
+    if params.field.m <= 8:
+        return (bytes(exp) * reps)[:size]
+    run = array("H", exp) * reps
+    del run[size:]
+    return run
+
+
+def _lanes(params: CodeParams, acc: int, count: int) -> bytes | array:
+    """The count lanes of an int XORed together from slices of the run."""
+    if params.field.m <= 8:
+        return acc.to_bytes(count, "little")
+    return array("H", acc.to_bytes(2 * count, "little"))
 
 
 @dataclass
@@ -449,22 +494,23 @@ def _syndrome_pattern(params: CodeParams, error: list[int]) -> dict[int, int] | 
     if length > params.t:
         return None
 
-    # Chien scan: position i is in error iff loc(alpha^-i) = 0, summed in
-    # the log domain over the locator's nonzero terms c_j x^j.  Positions
-    # come out in ascending order; a locator of degree d <= L has at most
-    # d roots, so L roots also means degree L.
+    # Chien scan: position i is in error iff loc(alpha^-i) = 0.  Term c_j x^j
+    # at alpha^-i, i = 0 .. n-1, is exp[log c_j + j*n - j*i]: one strided
+    # slice of the run per nonzero term.  A locator of degree d <= L has at
+    # most d roots, so L zeros also means degree L.
+    run = _exp_run(params)
     terms = [(log[c], j) for j, c in enumerate(loc) if c]
-    positions = []
-    for i in range(n):
-        value = 0
-        for log_c, j in terms:
-            value ^= exp[(log_c - i * j) % n]
-        if not value:
-            positions.append(i)
-            if len(positions) == length:
-                break
-    if len(positions) != length:
+    acc = 0
+    for log_c, j in terms:
+        row = run[log_c + j * n:log_c:-j] if j else run[log_c:log_c + 1] * n
+        acc ^= int.from_bytes(row, "little")
+    values = _lanes(params, acc, n)
+    if values.count(0) != length:
         return None
+    positions, i = [], -1
+    for _ in range(length):
+        i = values.index(0, i + 1)
+        positions.append(i)
 
     # Forney with first consecutive root alpha^1:
     #   Y = omega(X^-1) / loc'(X^-1),  omega = S(x) * loc(x) mod x^L,

@@ -74,9 +74,6 @@ class StegoKey:
 
     positions: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.positions)
-
 
 def check_key(params: CodeParams, key: StegoKey) -> None:
     """Raise unless the key's positions are distinct ints in [0, n) and

@@ -39,14 +39,14 @@ def test_spec_validation():
 def test_mode_none(word31):
     noisy, event = apply_noise(word31, ChannelSpec(mode="none"), 0)
     assert noisy == word31
-    assert event.affected_positions == frozenset()
+    assert frozenset(event.deltas) == frozenset()
     assert event.deltas == {}
 
 
 def test_error_event_stores_only_its_pattern():
     assert [f.name for f in fields(ErrorEvent)] == ["deltas", "bit_offset"]
     event = ErrorEvent({9: 4, 2: 1})
-    assert event.affected_positions == frozenset({2, 9})
+    assert frozenset(event.deltas) == frozenset({2, 9})
     assert event.bit_offset is None
 
 
@@ -63,7 +63,7 @@ NOISE_SPECS = [
 @pytest.mark.parametrize("m", [3, 5, 8, 16])
 def test_noisy_word_is_input_xor_deltas(m, spec):
     """Every mode: the noisy word is the input XOR ``deltas``, whose keys are
-    ``affected_positions``, and only a burst sets ``bit_offset``."""
+    the positions that changed, and only a burst sets ``bit_offset``."""
     n = (1 << m) - 1
     params = CodeParams(field=GF2m(m), n=n, k=n - 2)
     rnd = random.Random(m)
@@ -72,7 +72,8 @@ def test_noisy_word_is_input_xor_deltas(m, spec):
         noisy, event = apply_noise(word, spec, fork(m, trial))
         deltas = event.deltas
         assert noisy.symbols == [s ^ deltas.get(i, 0) for i, s in enumerate(word)]
-        assert event.affected_positions == frozenset(deltas)
+        changed = {i for i, (a, b) in enumerate(zip(noisy, word)) if a != b}
+        assert frozenset(deltas) == changed
         assert all(0 < d <= n for d in deltas.values())
         assert (event.bit_offset is not None) == (spec.mode == "burst")
         assert bool(deltas) == (spec.mode != "none")
@@ -83,7 +84,7 @@ def test_single_symbol_changes_exactly_one(rs31, word31):
     for trial in range(200):
         noisy, event = apply_noise(word31, spec, fork(5, trial))
         assert hamming_distance(noisy.symbols, word31.symbols) == 1
-        (pos,) = event.affected_positions
+        (pos,) = event.deltas
         delta = event.deltas[pos]
         assert delta != 0
         assert noisy.symbols[pos] == word31.symbols[pos] ^ delta
@@ -93,7 +94,7 @@ def test_single_bit_flips_exactly_one_bit(rs31, word31):
     spec = ChannelSpec(mode="single_bit")
     for trial in range(200):
         noisy, event = apply_noise(word31, spec, fork(5, trial))
-        (pos,) = event.affected_positions
+        (pos,) = event.deltas
         delta = event.deltas[pos]
         assert bin(delta).count("1") == 1
         assert noisy.symbols[pos] == word31.symbols[pos] ^ delta
@@ -120,9 +121,9 @@ def test_burst_shape(rs31, word31):
         offsets.add(event.bit_offset)
         first = event.bit_offset // m
         window = {first, first + 1}  # 6 > 5: always straddles two symbols
-        assert set(event.affected_positions) <= window
-        assert 1 <= len(event.affected_positions) <= 2
-        seen_sizes.add(len(event.affected_positions))
+        assert frozenset(event.deltas) <= window
+        assert 1 <= len(event.deltas) <= 2
+        seen_sizes.add(len(event.deltas))
         for pos, delta in event.deltas.items():
             assert delta != 0
             assert noisy.symbols[pos] == word31.symbols[pos] ^ delta
@@ -137,7 +138,7 @@ def test_burst_never_exceeds_budget_bound(rs31, word31):
         bound = max_affected_symbols(spec, 5)
         for trial in range(300):
             _, event = apply_noise(word31, spec, fork(3, trial))
-            assert len(event.affected_positions) <= bound
+            assert len(event.deltas) <= bound
 
 
 def test_wide_burst_can_flip_every_window_bit():
@@ -182,7 +183,7 @@ def test_single_symbol_positions_uniform(rs31, word31):
     trials = 10000
     for trial in range(trials):
         _, event = apply_noise(word31, spec, fork(13, trial))
-        counts.update(event.affected_positions)
+        counts.update(frozenset(event.deltas))
     expected = trials / 31
     chi2 = sum((counts[p] - expected) ** 2 / expected for p in range(31))
     assert chi2 < CHI2_999_DF30

@@ -6,7 +6,9 @@ import pytest
 
 from rsstego import (
     BadMagicError,
+    CodeParams,
     CorruptHeaderError,
+    GF2m,
     pack_container,
     unpack_container,
 )
@@ -104,6 +106,17 @@ def test_container_truncated_header():
     blob = pack_container(5, 31, 19, 0, 0, [])
     with pytest.raises(CorruptHeaderError):
         unpack_container(blob[: HEADER_SIZE - 3])
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_container_header_needs_two_parity_symbols(m):
+    """k = n - 1 leaves t = 0, so no embed writes it: the header check
+    refuses it, and k = n - 2 (t = 1) still unpacks."""
+    n = (1 << m) - 1
+    with pytest.raises(CorruptHeaderError):
+        unpack_container(pack_container(m, n, n - 1, 0, 0, [0] * n))
+    cont = unpack_container(pack_container(m, n, n - 2, 0, 0, [0] * n))
+    assert CodeParams(GF2m(m), cont.n, cont.k).t == 1
 
 
 def test_container_inconsistent_geometry():
@@ -567,6 +580,7 @@ def test_unpack_container_raises_only_documented_errors(workdir, capsys):
         except (BadMagicError, CorruptHeaderError):
             continue
         assert cont.n == (1 << cont.m) - 1
+        CodeParams(GF2m(cont.m), cont.n, cont.k)   # rsstego extract builds it
         assert len(cont.symbols) == cont.num_codewords * cont.n
         # rsstego extract builds its words from these without a second check.
         assert all(0 <= s < 1 << cont.m for s in cont.symbols)

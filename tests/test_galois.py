@@ -130,7 +130,7 @@ def test_pow(gf32):
         e = rnd.randrange(-50, 200)
         expected = 1
         for _ in range(e % 31):
-            expected = gf32.mul(expected, gf32.alpha)
+            expected = gf32.mul(expected, 2)
         assert gf32.alpha_pow(e) == expected
 
 
@@ -155,5 +155,5 @@ def test_poly_eval_matches_term_by_term(gf32):
         assert f.poly_eval([], 0) == 0
         for _ in range(50):
             p = [rnd.randrange(f.q) for _ in range(6)]
-            for x in (0, 1, f.alpha, rnd.randrange(f.q)):
+            for x in (0, 1, 2, rnd.randrange(f.q)):
                 assert f.poly_eval(p, x) == eval_term_by_term(f, p, x)

@@ -622,6 +622,49 @@ def test_syndrome_path_at_large_m(m):
         assert result.error_magnitudes == magnitudes
 
 
+# One low-rate and one high-rate geometry per lane width: byte lanes for
+# m <= 8, array('H') lanes for m > 8.
+EXP_RUN_GEOMETRIES = [(4, 3), (8, 223), (9, 5), (11, 2015)]
+
+
+@pytest.mark.parametrize("m, k", EXP_RUN_GEOMETRIES)
+def test_exp_run_reaches_the_last_syndrome_and_chien_terms(m, k):
+    """A slice that runs past the end of the exp run comes back short without
+    an error, so the terms that reach furthest into it are pinned: the
+    remainder's top term i = n-k-1 with log e = n-1, and a locator term of
+    degree j = t with log c = n-1."""
+    n = (1 << m) - 1
+    params = CodeParams(field=GF2m(m), n=n, k=k)
+    f, t, n_parity = params.field, params.t, params.n_parity
+    assert len(rs._exp_run(params)) == n + max((n_parity - 1) * n_parity, t * n)
+    rnd = random.Random(m)
+    q = f.q
+
+    received = [rnd.randrange(q) for _ in range(n_parity - 1)]
+    received += [f.alpha_pow(n - 1)] + [0] * k   # zero data: the remainder
+    synd = syndromes(params, received)
+    assert len(synd) == n_parity
+    assert synd == direct_syndromes(params, received)
+
+    # The locator's x^t coefficient is the product of alpha^p over the t
+    # positions, so positions summing to n - 1 mod n give it log n - 1.  One
+    # data-block position sends the decode down the syndrome path.
+    while True:
+        positions = [rnd.randrange(n_parity, n), *rnd.sample(range(n), t - 2)]
+        positions.append((n - 1 - sum(positions)) % n)
+        if len(set(positions)) == t:
+            break
+    word = encode(params, [rnd.randrange(q) for _ in range(k)])
+    received = list(word)
+    magnitudes = {p: rnd.randrange(1, q) for p in positions}
+    for p, y in magnitudes.items():
+        received[p] ^= y
+    result = decode(params, received)
+    assert len(result.corrected.symbols) == n
+    assert result.corrected == word
+    assert result.error_magnitudes == magnitudes
+
+
 def test_decode_all_double_errors_rs7(rs7):
     """Every <= 2 symbol corruption of one codeword decodes back."""
     word = encode(rs7, [3, 5, 1])

@@ -87,7 +87,7 @@ def test_extract_checks_key_as_embed_does(rs31):
     ]
     for key, error in bad_keys:
         with pytest.raises(error):
-            embed(word, key, [1] * len(key))
+            embed(word, key, [1] * len(key.positions))
         with pytest.raises(error):
             extract(word, key, rs31)
 
