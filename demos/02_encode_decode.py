@@ -18,8 +18,11 @@ print(f"data symbol i lives at position n-1-i: {tuple(n - 1 - i for i in range(k
 print("The systematic generator is a Cauchy matrix A (parity = data x A):")
 for i in range(k):  # row i is the parity of the unit data vector e_i
     print(f"  {encode(params, [int(j == i) for j in range(k)]).parity}")
-x = [params.field.alpha_pow(n - 1 - i) for i in range(k)]
-y = [params.field.alpha_pow(n - 1 - k - j) for j in range(n - k)]
+powers = [1]   # alpha^0 .. alpha^(n-1), by multiplying by alpha = 2
+while len(powers) < n:
+    powers.append(params.field.mul(powers[-1], 2))
+x = [powers[n - 1 - i] for i in range(k)]
+y = [powers[n - 1 - k - j] for j in range(n - k)]
 print(f"built from points x = {x} (data) and y = {y} (parity)\n")
 
 data = [1, 5, 2]

@@ -1,14 +1,14 @@
-"""Arithmetic in GF(2^m) and polynomials over it: what the RS codec uses.
+"""Arithmetic in GF(2^m), the field the RS codec works over.
 
 Field elements are plain ints in [0, 2^m): the binary digits are the
 coefficients of a polynomial over GF(2), reduced modulo the fixed
 polynomial ``DEFAULT_PRIMITIVE_POLY[m]``.  There is one field per m because
 an ``RSSTEG01`` container stores only m: a word written under any other
 modulus could not be read back.  Addition is XOR, written inline by callers
-(characteristic 2, so addition and subtraction coincide); multiplication
-and division go through log/antilog tables built from the primitive
-element alpha = x (the int 2), and ``div(1, a)`` is the inverse of a.  The
-tables cost 2 * 2^m ints of memory, which is why m is capped at 16.
+(characteristic 2, so addition and subtraction coincide), and
+multiplication goes through log/antilog tables built from the primitive
+element alpha = x (the int 2).  The tables cost 3 * 2^m ints of memory,
+which is why m is capped at 16.
 
 Nothing checks the moduli at run time; a test does, for every m.  If the
 powers alpha^0 .. alpha^(q-2) visit every nonzero residue exactly once, x
@@ -16,19 +16,17 @@ has order q - 1 in GF(2)[x]/(p).  Every nonzero residue is then a power of
 x, hence a unit, so the ring is a field and p is irreducible as well as
 primitive.
 
-Polynomials over the field are lists of ints, index = power of x; the
-empty list is the zero polynomial, and ``poly_eval`` is their Horner
-evaluation.  The codec calls none of ``mul``, ``div``, ``alpha_pow`` and
-``poly_eval``: the encoder XORs packed multiples of g(x), and the decoder
-reads ``_exp`` and ``_log`` itself and multiplies by adding logs, which
-saves a method call per product.  These methods are the field's public
-arithmetic, and the tests' reference.
+The codec reads ``_exp`` and ``_log`` itself: the encoder XORs packed
+multiples of g(x), and the decoder multiplies by adding logs and
+evaluates polynomials in ``rs._evaluate``, which saves a method call per
+product.  ``mul`` is the field's one public arithmetic method: the tests
+and the demos build powers of alpha, inverses and polynomial evaluation
+from it, and the benchmark counts its calls.
 """
 
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import Sequence
 
 # The modulus of GF(2^m), one per degree: irreducible, with x primitive.
 DEFAULT_PRIMITIVE_POLY = MappingProxyType({
@@ -70,7 +68,7 @@ class GF2m:
         self.q = 1 << m
         self.primitive_poly = poly = DEFAULT_PRIMITIVE_POLY[m]
 
-        # exp table doubled so mul/div never need an explicit modulo.
+        # exp table doubled so a sum of two logs needs no modulo.
         order = self.q - 1
         exp = [0] * (2 * order)
         log = [0] * self.q
@@ -98,42 +96,7 @@ class GF2m:
     def __hash__(self) -> int:
         return hash(self.m)
 
-    # ------------------------------------------------------------------
-    # element arithmetic (addition is XOR)
-    # ------------------------------------------------------------------
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
-
-    def div(self, a: int, b: int) -> int:
-        """a / b; div(1, b) is the inverse of b."""
-        if b == 0:
-            raise ZeroDivisionError("division by zero field element")
-        if a == 0:
-            return 0
-        return self._exp[self._log[a] - self._log[b] + self.q - 1]
-
-    def alpha_pow(self, e: int) -> int:
-        """alpha^e for any integer e (negative exponents wrap)."""
-        return self._exp[e % (self.q - 1)]
-
-    # ------------------------------------------------------------------
-    # polynomials (coefficient lists, ascending powers)
-    # ------------------------------------------------------------------
-    def poly_eval(self, p: Sequence[int], x: int) -> int:
-        """Horner evaluation of p at x; the zero polynomial evaluates to 0.
-
-        The accumulator is multiplied by x in the log domain: one addition
-        of logs per coefficient.
-        """
-        if x == 0:   # _log[0] is a placeholder (it equals _log[1]), not a log
-            return p[0] if p else 0
-        exp, log = self._exp, self._log
-        log_x = log[x]
-        acc = 0
-        for c in reversed(p):
-            if acc:
-                acc = exp[log[acc] + log_x]
-            acc ^= c
-        return acc

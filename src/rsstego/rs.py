@@ -75,26 +75,27 @@ since zero data re-encodes to zero parity; ``decode`` hands it e, so a
 decode re-encodes once.
 
 Both the syndromes and the Chien scan evaluate a sparse polynomial, given
-as log terms (log c, j), at a geometric run of points, and both take one
-C-level step per term rather than one per term and point.  The term c x^j
-at alpha^(s + sigma*t), t = 0, 1, .., is exp[log c + j*s + j*sigma*t]: a
-strided slice of the "exp run", exp[0 .. n) repeated.  Each slice becomes
-an int with ``int.from_bytes``, the ints are XORed, and the lanes are read
-back once.  The syndromes take the remainder's terms (log e_i, i) at
-alpha^1 .. alpha^(n-k), the first n - k lanes of run[log e_i + i :: i]; the
-Chien scan takes the locator's terms (log c_j, j) at alpha^-i for positions
-i = 0 .. n-1, the slice run[log c_j + j*n : log c_j : -j] of n lanes, and
-position i is in error iff its lane is zero.  A constant term is its value
-repeated.  With log c < n, i < n-k and j <= t, every lane a slice reads
-lies below n + max((n-k-1)(n-k), t*n), the run's length: 217 lanes at
-RS(31,19), 4,335 at RS(255,223) and 34,799 at RS(2047,2015), never more
-than the q (n-k) lanes of the encoder's table.  A lane is one byte of a
-``bytes`` run when m <= 8 and one item of an ``array('H')`` run when m > 8,
-the encoder's 8/16 split (a ``bytes`` slice converts a little faster than
-an ``array('B')`` one).  The run is built by the first ``syndromes`` call
-of a geometry and cached like the encoder but apart from it, so
-``build_cauchy`` and the words that never reach the syndrome path do not
-pay for it.
+as log terms (log c, j), at the points alpha^1 .. alpha^count, and both go
+through one evaluator, ``_evaluate``, which takes one C-level step per term
+rather than one per term and point.  The term c x^j at alpha^s is
+exp[log c + j*s] = run[log c + j*s], where the "exp run" is exp[0 .. n)
+repeated: for s = 1 .. count that is one strided slice,
+run[log c + j : log c + j + j*count : j].  Each slice becomes an int with
+``int.from_bytes``, the ints are XORed, and the lanes are read back once;
+a constant term is its value repeated.  The syndromes take the
+remainder's terms (log e_i, i) with count n - k.  The Chien scan takes the
+locator's terms (log c_j, j) with count n: alpha^s = alpha^-(n-s), so lane
+s - 1 stands for position n - s, which is in error iff the lane is zero.
+The furthest lane read is log c + j*count, and with log c < n, i < n-k
+and j <= t it lies below n + max((n-k-1)(n-k), t*n), the run's length:
+217 lanes at RS(31,19), 4,335 at RS(255,223) and 34,799 at RS(2047,2015),
+never more than the q (n-k) lanes of the encoder's table.  A lane is one
+byte of a ``bytes`` run when m <= 8 and one item of an ``array('H')`` run
+when m > 8, the encoder's 8/16 split (a ``bytes`` slice converts a little
+faster than an ``array('B')`` one).  The run is built by the first
+``syndromes`` call of a geometry and cached like the encoder but apart
+from it, so ``build_cauchy`` and the words that never reach the syndrome
+path do not pay for it.
 
 Berlekamp-Massey keeps the locator as values and adds the log of a
 coefficient to the log of a syndrome, or of the scale disc / prev_disc,
@@ -347,16 +348,9 @@ def syndromes(params: CodeParams, received) -> list[int]:
     if any(data):   # zero data re-encodes to zero parity
         parity = _parity(build_cauchy(params), data)
         remainder = [a ^ b for a, b in zip(parity, remainder)]
-    # Term e_i x^i at alpha^j, j = 1 .. n-k, is exp[log e_i + i*j]: one
-    # strided slice of the run per nonzero term, the constant e_0 repeated.
-    run, log = _exp_run(params), params.field._log
-    acc = 0
-    for i, e in enumerate(remainder):
-        if e:
-            start = log[e] + i
-            row = run[start:start + count * i:i] if i else run[start:start + 1] * count
-            acc ^= int.from_bytes(row, "little")
-    return list(_lanes(params, acc, count))
+    log = params.field._log
+    terms = [(log[e], i) for i, e in enumerate(remainder) if e]
+    return list(_evaluate(params, terms, count))
 
 
 @lru_cache(maxsize=CAUCHY_CACHE_SIZE)
@@ -364,9 +358,10 @@ def _exp_run(params: CodeParams) -> bytes | array:
     """exp[0 .. n) repeated over n + max((n-k-1)(n-k), t*n) lanes, one byte
     each when m <= 8 and an ``array('H')`` lane when m > 8.
 
-    exp[l + i*j] for j = 1 .. n-k and exp[l + j*n - j*i] for i = 0 .. n-1,
-    with l < n, i < n-k and j <= t, all fall inside it.  Built by the first
-    ``syndromes`` call of a geometry, never by ``build_cauchy``.
+    ``_evaluate`` reads exp[l + j*s] with l < n, for s <= n-k at j < n-k
+    (syndromes) and for s <= n at j <= t (the Chien scan): all fall inside
+    it.  Built by the first ``syndromes`` call of a geometry, never by
+    ``build_cauchy``.
     """
     n, n_parity = params.n, params.n_parity
     size = n + max((n_parity - 1) * n_parity, params.t * n)
@@ -379,8 +374,21 @@ def _exp_run(params: CodeParams) -> bytes | array:
     return run
 
 
-def _lanes(params: CodeParams, acc: int, count: int) -> bytes | array:
-    """The count lanes of an int XORed together from slices of the run."""
+def _evaluate(params: CodeParams, terms: Iterable, count: int) -> bytes | array:
+    """The count lanes of sum c alpha^(j*s) for s = 1 .. count, over the
+    log terms (log c, j): one byte each when m <= 8, else an ``array('H')``.
+
+    Term c x^j at alpha^s is exp[log c + j*s], so the term is the slice
+    run[log c + j : log c + j + j*count : j] of the exp run, and a constant
+    term is its value repeated.  The slices are XORed as ints and the lanes
+    are read back once.
+    """
+    run = _exp_run(params)
+    acc = 0
+    for log_c, j in terms:
+        start = log_c + j
+        row = run[start:start + j * count:j] if j else run[start:start + 1] * count
+        acc ^= int.from_bytes(row, "little")
     if params.field.m <= 8:
         return acc.to_bytes(count, "little")
     return array("H", acc.to_bytes(2 * count, "little"))
@@ -494,23 +502,19 @@ def _syndrome_pattern(params: CodeParams, error: list[int]) -> dict[int, int] | 
     if length > params.t:
         return None
 
-    # Chien scan: position i is in error iff loc(alpha^-i) = 0.  Term c_j x^j
-    # at alpha^-i, i = 0 .. n-1, is exp[log c_j + j*n - j*i]: one strided
-    # slice of the run per nonzero term.  A locator of degree d <= L has at
-    # most d roots, so L zeros also means degree L.
-    run = _exp_run(params)
+    # Chien scan: position i is in error iff loc(alpha^-i) = 0, and lane s-1
+    # holds loc(alpha^s) = loc(alpha^-(n-s)), so it stands for position n-s.
+    # A locator of degree d <= L has at most d roots, so L zeros also means
+    # degree L.  Ascending lanes give descending positions, so Forney reads
+    # them reversed and the pattern stays in ascending position order.
     terms = [(log[c], j) for j, c in enumerate(loc) if c]
-    acc = 0
-    for log_c, j in terms:
-        row = run[log_c + j * n:log_c:-j] if j else run[log_c:log_c + 1] * n
-        acc ^= int.from_bytes(row, "little")
-    values = _lanes(params, acc, n)
+    values = _evaluate(params, terms, n)
     if values.count(0) != length:
         return None
-    positions, i = [], -1
+    positions, lane = [], -1
     for _ in range(length):
-        i = values.index(0, i + 1)
-        positions.append(i)
+        lane = values.index(0, lane + 1)
+        positions.append(n - 1 - lane)
 
     # Forney with first consecutive root alpha^1:
     #   Y = omega(X^-1) / loc'(X^-1),  omega = S(x) * loc(x) mod x^L,
@@ -529,7 +533,7 @@ def _syndrome_pattern(params: CodeParams, error: list[int]) -> dict[int, int] | 
     # c_j x^j becomes c_j x^(j-1) for odd j.
     deriv_terms = [(log_c, j - 1) for log_c, j in terms if j % 2]
     pattern = {}
-    for i in positions:
+    for i in reversed(positions):
         num = den = 0
         for log_c, j in omega_terms:
             num ^= exp[(log_c - i * j) % n]

@@ -1,9 +1,11 @@
 """Independent reference implementations used only to check the library.
 
-Everything here deliberately avoids the code paths under test: polynomial
-helpers are local, syndromes are literal power sums, and the brute-force
-decoder enumerates error-position subsets and solves the syndrome system
-by Gaussian elimination instead of Berlekamp-Massey.  The encoder, a
+Everything here deliberately avoids the code paths under test: powers of
+alpha and inverses are built from ``field.mul`` alone, the powers of x by
+shift and reduce without the field's tables, polynomial helpers are
+local, syndromes are literal power sums, and the brute-force decoder
+enumerates error-position subsets and solves the syndrome system by
+Gaussian elimination instead of Berlekamp-Massey.  The encoder, a
 shift register over packed multiples of g(x), is checked against the
 Cauchy matrix of Lagrange interpolation, built with one field
 multiplication per product, and against long division by g(x) with one
@@ -17,6 +19,7 @@ events.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -88,17 +91,46 @@ def gf2_is_irreducible_oracle(poly: int, m: int) -> bool:
     return True
 
 
+def powers_of_x(poly: int, m: int) -> list[int]:
+    """x^0 .. x^(2^m - 2) modulo poly, by shift and reduce."""
+    out, val = [], 1
+    for _ in range((1 << m) - 1):
+        out.append(val)
+        val <<= 1
+        if val >> m:
+            val ^= poly
+    return out
+
+
 # ----------------------------------------------------------------------
-# term-by-term polynomial evaluation
+# powers and inverses from field.mul alone
 # ----------------------------------------------------------------------
-def eval_term_by_term(field, coeffs, x):
-    """Sum of c_i * x^i with x^i built by repeated multiplication."""
-    acc = 0
-    xp = 1
-    for c in coeffs:
-        acc ^= field.mul(c, xp)
-        xp = field.mul(xp, x)
-    return acc
+@lru_cache(maxsize=None)
+def _alpha_powers(field):
+    """alpha^0 .. alpha^(q-2) by repeated multiplication by alpha = 2."""
+    out = [1]
+    for _ in range(field.q - 2):
+        out.append(field.mul(out[-1], 2))
+    return out
+
+
+def alpha_pow(field, e: int) -> int:
+    """alpha^e for any integer e; negative exponents wrap."""
+    powers = _alpha_powers(field)
+    return powers[e % len(powers)]
+
+
+def inverse(field, a: int) -> int:
+    """1 / a = a^(q-2), by square and multiply, since a^(q-1) = 1."""
+    if a == 0:
+        raise ZeroDivisionError("zero has no inverse")
+    out, e = 1, field.q - 2
+    while e:
+        if e & 1:
+            out = field.mul(out, a)
+        a = field.mul(a, a)
+        e >>= 1
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +147,7 @@ def _poly_mul(field, a, b):
 def _poly_rem(field, a, b):
     a = list(a)
     db = len(b) - 1
-    inv_lead = field.div(1, b[-1])
+    inv_lead = inverse(field, b[-1])
     for i in range(len(a) - 1, db - 1, -1):
         if a[i]:
             c = field.mul(a[i], inv_lead)
@@ -129,7 +161,7 @@ def generator_poly(params):
     f = params.field
     g = [1]
     for j in range(1, params.n - params.k + 1):
-        g = _poly_mul(f, g, [f.alpha_pow(j), 1])
+        g = _poly_mul(f, g, [alpha_pow(f, j), 1])
     return g
 
 
@@ -157,7 +189,7 @@ def direct_syndromes(params, symbols):
     for j in range(1, params.n - params.k + 1):
         s = 0
         for i, v in enumerate(symbols):
-            s ^= f.mul(v, f.alpha_pow(i * j))
+            s ^= f.mul(v, alpha_pow(f, i * j))
         out.append(s)
     return out
 
@@ -174,7 +206,7 @@ def _gauss_solve(field, rows, rhs):
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        inv = field.div(1, aug[col][col])
+        inv = inverse(field, aug[col][col])
         aug[col] = [field.mul(inv, x) for x in aug[col]]
         for r in range(size):
             if r != col and aug[r][col]:
@@ -198,7 +230,7 @@ def brute_force_decode(params, symbols):
     for v in range(1, params.t + 1):
         for subset in combinations(range(params.n), v):
             # position i is the locator alpha^i, so x^j = alpha^(i*j)
-            rows = [[f.alpha_pow(i * j) for i in subset] for j in range(1, v + 1)]
+            rows = [[alpha_pow(f, i * j) for i in subset] for j in range(1, v + 1)]
             mags = _gauss_solve(f, rows, synd[:v])
             if mags is None or any(y == 0 for y in mags):
                 continue
@@ -206,7 +238,7 @@ def brute_force_decode(params, symbols):
             for j in range(v + 1, params.n - params.k + 1):
                 s = 0
                 for i, y in zip(subset, mags):
-                    s ^= f.mul(y, f.alpha_pow(i * j))
+                    s ^= f.mul(y, alpha_pow(f, i * j))
                 if s != synd[j - 1]:
                     ok = False
                     break
@@ -250,15 +282,15 @@ def cauchy_reference(params):
     """
     f = params.field
     n, k = params.n, params.k
-    x = [f.alpha_pow(n - 1 - i) for i in range(k)]
-    y = [f.alpha_pow(n - 1 - k - j) for j in range(n - k)]
+    x = [alpha_pow(f, n - 1 - i) for i in range(k)]
+    y = [alpha_pow(f, n - 1 - k - j) for j in range(n - k)]
     u = []
     for i in range(k):
         prod = 1
         for l in range(k):
             if l != i:
                 prod = f.mul(prod, x[i] ^ x[l])
-        u.append(f.div(1, prod))
+        u.append(inverse(f, prod))
     v = []
     for yj in y:
         prod = 1
@@ -266,7 +298,7 @@ def cauchy_reference(params):
             prod = f.mul(prod, yj ^ xl)
         v.append(prod)
     matrix = [
-        [f.div(f.mul(u[i], v[j]), x[i] ^ y[j]) for j in range(n - k)]
+        [f.mul(f.mul(u[i], v[j]), inverse(f, x[i] ^ y[j])) for j in range(n - k)]
         for i in range(k)
     ]
     return x, y, u, v, matrix

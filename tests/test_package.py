@@ -1,6 +1,8 @@
-"""Package-level contracts: what importing rsstego loads and exports."""
+"""Package-level contracts: what importing rsstego loads and exports, and
+the README's Python examples."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -41,3 +43,14 @@ def test_exports():
     assert errors
     for error in errors:
         assert issubclass(error, ValueError), error
+
+
+def test_readme_python_examples_run():
+    """The README's ```python blocks run, in order and in one namespace: the
+    experiment example uses the quick start's ``params``."""
+    text = (ROOT / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", text, re.S | re.M)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), namespace)

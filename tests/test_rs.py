@@ -24,6 +24,7 @@ from rsstego import (
 )
 from rsstego import rs
 from oracles import (
+    alpha_pow,
     brute_force_decode,
     cauchy_reference,
     data_positions,
@@ -155,8 +156,8 @@ def generator_matrix(params):
 def test_cauchy_evaluation_points_rs7(rs7, gf8):
     """The matrix is the one built from x_i = alpha^(6-i), y_j = alpha^(3-j)."""
     x, y, _, _, matrix = cauchy_reference(rs7)
-    assert x == [gf8.alpha_pow(6 - i) for i in range(3)]
-    assert y == [gf8.alpha_pow(3 - j) for j in range(4)]
+    assert x == [alpha_pow(gf8, 6 - i) for i in range(3)]
+    assert y == [alpha_pow(gf8, 3 - j) for j in range(4)]
     assert generator_matrix(rs7) == matrix
 
 
@@ -293,7 +294,7 @@ def test_syndromes_of_single_error(rs31, gf32):
         received = list(encode(rs31, data))
         received[pos] ^= delta
         got = syndromes(rs31, received)
-        expect = [gf32.mul(delta, gf32.alpha_pow(pos * j)) for j in range(1, 13)]
+        expect = [gf32.mul(delta, alpha_pow(gf32, pos * j)) for j in range(1, 13)]
         assert got == expect
 
 
@@ -641,7 +642,7 @@ def test_exp_run_reaches_the_last_syndrome_and_chien_terms(m, k):
     q = f.q
 
     received = [rnd.randrange(q) for _ in range(n_parity - 1)]
-    received += [f.alpha_pow(n - 1)] + [0] * k   # zero data: the remainder
+    received += [alpha_pow(f, n - 1)] + [0] * k   # zero data: the remainder
     synd = syndromes(params, received)
     assert len(synd) == n_parity
     assert synd == direct_syndromes(params, received)
@@ -663,6 +664,29 @@ def test_exp_run_reaches_the_last_syndrome_and_chien_terms(m, k):
     assert len(result.corrected.symbols) == n
     assert result.corrected == word
     assert result.error_magnitudes == magnitudes
+
+
+@pytest.mark.parametrize("m, k", [(5, 19), (11, 2015)])
+def test_syndrome_path_lists_magnitudes_in_ascending_position_order(m, k):
+    """The Chien scan finds positions from the top down; ``decode`` still
+    keys ``error_magnitudes`` in ascending position order, with byte lanes
+    (m = 5) and array('H') lanes (m = 11).  A data-block error forces the
+    syndrome path: r + c then has at least n-k+1-L > t nonzero parity
+    symbols for L <= t errors."""
+    n = (1 << m) - 1
+    params = CodeParams(field=GF2m(m), n=n, k=k)
+    rnd = random.Random(k)
+    for errors in range(1, params.t + 1):
+        word = encode(params, [rnd.randrange(1 << m) for _ in range(k)])
+        positions = {rnd.randrange(params.n_parity, n)}
+        while len(positions) < errors:
+            positions.add(rnd.randrange(n))
+        received = list(word)
+        for p in positions:
+            received[p] ^= rnd.randrange(1, 1 << m)
+        result = decode(params, received)
+        assert result.corrected == word
+        assert list(result.error_magnitudes) == sorted(positions)
 
 
 def test_decode_all_double_errors_rs7(rs7):

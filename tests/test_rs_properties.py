@@ -1,14 +1,26 @@
 """Property tests (hypothesis): the encoder and syndromes against the
-direct oracles, the decoder against the brute-force oracle, and the
-container packers against the bit loop."""
+direct oracles, the decoder against the brute-force oracle, the container
+packers against the bit loop, and ``unpack_container`` on arbitrary
+headers and payloads."""
+
+import struct
 
 import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
-from rsstego import CodeParams, GF2m, decode, encode, syndromes
-from rsstego.container import pack_symbols, unpack_symbols
+from rsstego import (
+    BadMagicError,
+    CodeParams,
+    CorruptHeaderError,
+    GF2m,
+    decode,
+    encode,
+    syndromes,
+    unpack_container,
+)
+from rsstego.container import MAGIC, pack_symbols, unpack_symbols
 from oracles import (
     bitloop_pack_symbols,
     brute_force_decode,
@@ -106,3 +118,43 @@ def test_packers_round_trip_and_match_the_bit_loop(case):
     packed = pack_symbols(symbols, m)
     assert packed == bitloop_pack_symbols(symbols, m)
     assert unpack_symbols(packed, m)[:len(symbols)] == symbols
+
+
+@st.composite
+def mostly(draw, valid, arbitrary):
+    """Draw from ``valid`` three times in four, else from ``arbitrary``."""
+    return draw(valid if draw(st.sampled_from([True, True, True, False])) else arbitrary)
+
+
+@st.composite
+def container_blobs(draw):
+    """RSSTEG01 bytes whose header fields are each mostly valid and
+    otherwise arbitrary, with an arbitrary payload, sometimes cut short."""
+    magic = draw(mostly(st.just(MAGIC), st.binary(max_size=8)))
+    m = draw(mostly(st.integers(3, 16), st.integers(0, 255)))
+    n = draw(mostly(st.just(((1 << m) - 1) & 0xFFFF), st.integers(0, 0xFFFF)))
+    # k = n - d with small d often drawn: the edge k = n - 2 of t >= 1.
+    k = draw(mostly(st.integers(0, n).map(lambda d: n - d), st.integers(0, 0xFFFF)))
+    message_len = draw(st.integers(0, (1 << 32) - 1))
+    seed = draw(st.integers(0, (1 << 64) - 1))
+    # The documented layout: magic, m, n, k, message length, seed, payload.
+    header = struct.pack(">8sBHHIQ", magic, m, n, k, message_len, seed)
+    size = draw(st.integers(0, 300))   # whole codewords up to m = 8
+    blob = header + draw(st.binary(min_size=size, max_size=size))
+    return blob[:draw(mostly(st.none(), st.integers(0, len(blob))))]
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(container_blobs())
+def test_unpack_container_fuzz_keeps_the_extract_invariants(blob):
+    """Any bytes raise only the two header errors, or give a container that
+    ``rsstego extract`` can use as it is: a valid geometry, whole codewords
+    and m-bit symbols."""
+    try:
+        cont = unpack_container(blob)
+    except (BadMagicError, CorruptHeaderError):
+        return
+    assert cont.n == (1 << cont.m) - 1
+    CodeParams(GF2m(cont.m), cont.n, cont.k)   # rsstego extract builds it
+    assert len(cont.symbols) % cont.n == 0
+    assert all(0 <= s < 1 << cont.m for s in cont.symbols)
