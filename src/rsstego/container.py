@@ -149,11 +149,24 @@ class Container:
         return len(self.symbols) // self.n
 
 
+def _check_geometry(m: int, n: int, k: int, error: type[ValueError]) -> None:
+    """The header rule that ``pack_container`` and ``unpack_container``
+    share: raise ``error`` unless 3 <= m <= 16, n = 2^m - 1 and
+    1 <= k <= n - 2, so that t = (n - k) // 2 >= 1."""
+    if not 3 <= m <= 16:
+        raise error(f"symbol width m={m} outside [3, 16]")
+    if n != (1 << m) - 1:
+        raise error(f"n={n} but 2^{m} - 1 = {(1 << m) - 1}")
+    if not 0 < k <= n - 2:
+        raise error(f"k={k} outside [1, {n - 2}]")
+
+
 def pack_container(
     m: int, n: int, k: int, message_len: int, seed: int, symbols
 ) -> bytes:
-    if not 3 <= m <= 16:
-        raise ValueError(f"container requires 3 <= m <= 16, got {m}")
+    """The RSSTEG01 bytes: header, then the packed symbols.  A geometry
+    that ``unpack_container`` would refuse raises ``ValueError``."""
+    _check_geometry(m, n, k, ValueError)
     if message_len > 0xFFFFFFFF:
         raise MessageTooLargeError(f"message of {message_len} bytes exceeds 2^32 - 1")
     header = _HEADER.pack(MAGIC, m, n, k, message_len, seed & ((1 << 64) - 1))
@@ -168,12 +181,7 @@ def unpack_container(blob: bytes) -> Container:
             f"header truncated: {len(blob)} bytes < {HEADER_SIZE}"
         )
     _, m, n, k, message_len, seed = _HEADER.unpack(blob[:HEADER_SIZE])
-    if not 3 <= m <= 16:
-        raise CorruptHeaderError(f"symbol width m={m} outside [3, 16]")
-    if n != (1 << m) - 1:
-        raise CorruptHeaderError(f"n={n} but 2^{m} - 1 = {(1 << m) - 1}")
-    if not 0 < k <= n - 2:   # t = (n - k) // 2 >= 1
-        raise CorruptHeaderError(f"k={k} outside [1, {n - 2}]")
+    _check_geometry(m, n, k, CorruptHeaderError)
     symbols = unpack_symbols(blob[HEADER_SIZE:], m)
     del symbols[len(symbols) // n * n:]   # in place: one copy, the tuple
     return Container(

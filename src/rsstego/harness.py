@@ -18,10 +18,11 @@ the one place that derives seeds: trial i draws its data, message, key and
 channel noise from the substreams fork(fork(master_seed, purpose), i), so
 identical master seeds give identical reports and any trial can be replayed
 on its own.  The config forks master_seed once per purpose, and
-``run_trial`` forks those roots once per trial.  The pool, the stego count
-and the stego budget (against the channel's worst case) are checked once,
-when the config is built.  Trials are independent, so they could run
-concurrently; aggregation is ordered by trial index either way.
+``run_trial`` forks those roots once per trial.  The pool, the stego count,
+the stego budget (against the channel's worst case), the trial count and
+the master seed are checked once, when the config is built.  Trials are
+independent, so they could run concurrently; aggregation is ordered by
+trial index either way.
 """
 
 from __future__ import annotations
@@ -55,8 +56,10 @@ class ExperimentConfig:
         check_key_request(self.params, self.stego_count, self.pool)
         worst = max_affected_symbols(self.channel, self.params.field.m)
         check_budget(self.params, self.stego_count, worst)
-        if self.trials < 0:
-            raise ValueError(f"trials must be non-negative, got {self.trials}")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
+        if type(self.master_seed) is not int:
+            raise ValueError(f"master_seed must be an int, got {self.master_seed!r}")
 
     @cached_property
     def _substream_roots(self) -> tuple[int, ...]:
@@ -137,13 +140,11 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     trials = config.trials
     total_symbols = trials * config.stego_count
     return ExperimentReport(
-        pct_decoded_info=100.0 * data_ok / trials if trials else 100.0,
+        pct_decoded_info=100.0 * data_ok / trials,
         pct_decoded_secret=(
             100.0 * symbols_ok / total_symbols if total_symbols else 100.0
         ),
-        pct_decoded_secret_trials=(
-            100.0 * whole_msg_ok / trials if trials else 100.0
-        ),
+        pct_decoded_secret_trials=100.0 * whole_msg_ok / trials,
         error_location_hist=error_hist,
         stego_location_hist=stego_hist,
         trials=trials,

@@ -43,10 +43,13 @@ and no field multiplication.
 Otherwise the decoder is classical syndrome decoding from all n - k
 syndromes: Berlekamp-Massey for the minimal error-locator polynomial, a
 Chien scan over the q - 1 nonzero elements for the error positions, and
-Forney's formula for the magnitudes.  It fails in exactly two places: the
+Forney's values for the magnitudes.  It fails in exactly two places: the
 locator's length L exceeds t, or the scan finds other than L roots, which
-also refuses a locator of degree below L, since it has fewer roots.  A
-success needs no re-check of the corrected word:
+also refuses a locator of degree below L, since it has fewer roots.
+Berlekamp-Massey stops at the first step whose length would exceed t: L
+never decreases, so that is the verdict of a check at the end.  Until
+then deg loc <= L <= t (Massey 1969), so the locator lives in t + 1
+slots.  A success needs no re-check of the corrected word:
 
     the locator has L <= t distinct roots X_l^-1 and generates S_1..S_(n-k),
     so S_j = sum_l Y_l X_l^j for every j with Forney's values Y_l: removing
@@ -55,11 +58,21 @@ success needs no re-check of the corrected word:
 (Massey 1969, "Shift-register synthesis and BCH decoding"; Forney 1965,
 "On decoding BCH codes").  A claimed success is therefore always a valid
 codeword; beyond t errors the result is either a flagged failure or a
-miscorrection to some other valid codeword.  Because the locator generates
-the whole syndrome sequence, the coefficients L .. n-k-1 of S(x) * loc(x)
-vanish, so Forney's omega keeps only its first L terms; and a locator of
-degree at most L has at most L roots, so a scan that finds L of them has
-found them all.
+miscorrection to some other valid codeword.  A locator of degree at most
+L has at most L roots, so a scan that finds L of them has found them all.
+
+Forney's value at the error locator X is Y = omega(X^-1) / loc'(X^-1) with
+omega = S(x) * loc(x) mod x^(n-k).  Berlekamp-Massey already holds a
+polynomial that gives the same value without omega: its correction term
+B = x^gap * prev / prev_disc, the multiple of the last replaced locator
+that its next step would scale by the discrepancy.  At every root of loc,
+omega(X^-1) * B(X^-1) = X^-(n-k), so
+
+    Y = X^-(n-k) / (B(X^-1) * loc'(X^-1))
+
+(Horiguchi 1989, "High-speed decoding of BCH codes using a new
+error-evaluation algorithm").  These are Forney's values, so the argument
+above holds as it stands, and B(X^-1) is never 0.
 
 Either path yields the error pattern, a map from position to nonzero
 magnitude (``DecodeResult.error_magnitudes``), and ``decode`` builds the
@@ -69,10 +82,11 @@ failure returns the received word itself and an empty pattern.
 The syndrome path runs in the log domain, without ``GF2m.mul``: a
 product is one lookup in the doubled exp table at the sum of two logs.
 Syndromes are linear and vanish on codewords, so S_j(r) = S_j(e): they
-come from the parity remainder e_0 .. e_(n-k-1).  ``syndromes`` re-encodes
-the data block of the word it is given, unless that block is all zero,
-since zero data re-encodes to zero parity; ``decode`` hands it e, so a
-decode re-encodes once.
+come from the parity remainder e_0 .. e_(n-k-1).  ``_remainder`` is the
+one place that computes it, for ``decode`` and ``syndromes`` alike: it
+re-encodes the data block of the word it is given, unless that block is
+all zero, since zero data re-encodes to zero parity.  ``decode`` hands
+``syndromes`` the word e, so a decode re-encodes at most once.
 
 Both the syndromes and the Chien scan evaluate a sparse polynomial, given
 as log terms (log c, j), at the points alpha^1 .. alpha^count, and both go
@@ -99,9 +113,10 @@ path do not pay for it.
 
 Berlekamp-Massey keeps the locator as values and adds the log of a
 coefficient to the log of a syndrome, or of the scale disc / prev_disc,
-for each product; the syndromes' logs are taken once.  Forney's
-omega(X^-1) and loc'(X^-1) are log-term sums at the L error positions
-only, and a magnitude is alpha to the difference of their logs.
+for each product; the syndromes' logs are taken once, and it hands back
+B as log terms.  B(X^-1) and loc'(X^-1) are log-term sums at the L error
+positions only, which Forney reads as the Chien scan finds them, and a
+magnitude is alpha to -(n-k) log X minus their logs.
 """
 
 from __future__ import annotations
@@ -342,15 +357,23 @@ def syndromes(params: CodeParams, received) -> list[int]:
     new ``Codeword``: the wrong length raises ``LengthMismatchError`` and a
     symbol that is not an integer in [0, q) ``ValueError``.
     """
-    received = _received(params, received)
-    data, count = received.data, params.n_parity
-    remainder = received.symbols[:count]
-    if any(data):   # zero data re-encodes to zero parity
+    log = params.field._log
+    remainder = _remainder(params, _received(params, received))
+    terms = [(log[e], i) for i, e in enumerate(remainder) if e]
+    return list(_evaluate(params, terms, params.n_parity))
+
+
+def _remainder(params: CodeParams, word: Codeword) -> list[int]:
+    """The parity remainder e_0 .. e_(n-k-1) of a word r: its parity block
+    XOR that of its re-encoded data block, so e = r + c for the re-encoded
+    codeword c, and e is zero on the data positions.  Zero data re-encodes
+    to zero parity, so such a word is its own remainder and skips the
+    re-encode."""
+    data, remainder = word.data, word.symbols[:params.n_parity]
+    if any(data):
         parity = _parity(build_cauchy(params), data)
         remainder = [a ^ b for a, b in zip(parity, remainder)]
-    log = params.field._log
-    terms = [(log[e], i) for i, e in enumerate(remainder) if e]
-    return list(_evaluate(params, terms, count))
+    return remainder
 
 
 @lru_cache(maxsize=CAUCHY_CACHE_SIZE)
@@ -414,42 +437,47 @@ class DecodeResult:
 
 
 def _berlekamp_massey(
-    f: GF2m, synd: Sequence[int], log_synd: Sequence[int]
-) -> tuple[list[int], int]:
-    """Minimal LFSR for synd: the error locator (ascending coeffs,
-    loc[0] = 1, degree at most the length, zero high coefficients kept)
-    and its length L.  log_synd holds the syndromes' logs, read only where
-    the syndrome is nonzero; products are sums of logs."""
+    f: GF2m, synd: Sequence[int], log_synd: Sequence[int], t: int
+) -> tuple[list[int], int, list[tuple[int, int]]] | None:
+    """Minimal LFSR for synd, or None once its length L exceeds t.
+
+    Returns the error locator (t + 1 ascending coefficients, loc[0] = 1,
+    degree at most L), L, and the correction term B = x^gap * prev /
+    prev_disc as log terms (log b, j), which Forney reads.  log_synd holds
+    the syndromes' logs, read only where the syndrome is nonzero; products
+    are sums of logs.
+    """
     n, exp, log = f.q - 1, f._exp, f._log
-    loc = [1]
-    prev = [1]
+    loc = [1] + [0] * t
+    prev = loc
     length = 0
     gap = 1
     log_prev_disc = 0
     for idx, s in enumerate(synd):
         disc = s
-        for i in range(1, min(length, len(loc) - 1) + 1):
+        for i in range(1, length + 1):
             c = loc[i]
             if c and synd[idx - i]:
                 disc ^= exp[log[c] + log_synd[idx - i]]
-        if disc == 0:
-            gap += 1
-            continue
-        log_disc = log[disc]
-        log_scale = (log_disc - log_prev_disc) % n   # disc / prev_disc
-        new = loc + [0] * max(0, len(prev) + gap - len(loc))
-        for i, p in enumerate(prev, gap):
-            if p:
-                new[i] ^= exp[log_scale + log[p]]
-        if 2 * length <= idx:
-            prev = loc
-            log_prev_disc = log_disc
-            length = idx + 1 - length
-            gap = 1
-        else:
-            gap += 1
-        loc = new
-    return loc, length
+        if disc:
+            grow = 2 * length <= idx
+            if grow and idx + 1 - length > t:
+                return None   # L never decreases, so this is the final verdict
+            log_disc = log[disc]
+            log_scale = (log_disc - log_prev_disc) % n   # disc / prev_disc
+            new = loc.copy() if grow else loc
+            # deg x^gap * prev <= the new length <= t: every term has a slot.
+            for i, p in enumerate(prev, gap):
+                if p:
+                    new[i] ^= exp[log_scale + log[p]]
+            if grow:
+                prev, log_prev_disc = loc, log_disc
+                length, gap = idx + 1 - length, 0
+            loc = new
+        gap += 1
+    correction = [((log[p] - log_prev_disc) % n, j)
+                  for j, p in enumerate(prev, gap) if p]
+    return loc, length, correction
 
 
 def decode(params: CodeParams, received) -> DecodeResult:
@@ -473,15 +501,13 @@ def decode(params: CodeParams, received) -> DecodeResult:
     miscorrection to another valid codeword.
     """
     word = _received(params, received)
-    symbols = word.symbols
-    parity = _parity(build_cauchy(params), word.data)
-    error = [a ^ b for a, b in zip(parity, symbols)]   # e = r + c; 0 on the data
+    error = _remainder(params, word)   # e = r + c; 0 on the data
     pattern = {i: e for i, e in enumerate(error) if e}
     if len(pattern) > params.t:
         pattern = _syndrome_pattern(params, error)
         if pattern is None:
             return DecodeResult(corrected=word, failure=True)
-    corrected = list(symbols)
+    corrected = list(word.symbols)
     for i, y in pattern.items():
         corrected[i] ^= y
     return DecodeResult(
@@ -498,46 +524,35 @@ def _syndrome_pattern(params: CodeParams, error: list[int]) -> dict[int, int] | 
     synd = syndromes(params, Codeword._of(params, [*error, *[0] * params.k]))
     n, exp, log = params.n, f._exp, f._log
     log_synd = [log[s] for s in synd]   # log[0] is a placeholder, never read
-    loc, length = _berlekamp_massey(f, synd, log_synd)
-    if length > params.t:
+    found = _berlekamp_massey(f, synd, log_synd, params.t)
+    if found is None:
         return None
+    loc, length, correction = found
 
-    # Chien scan: position i is in error iff loc(alpha^-i) = 0, and lane s-1
-    # holds loc(alpha^s) = loc(alpha^-(n-s)), so it stands for position n-s.
-    # A locator of degree d <= L has at most d roots, so L zeros also means
-    # degree L.  Ascending lanes give descending positions, so Forney reads
-    # them reversed and the pattern stays in ascending position order.
+    # Chien scan: position i is in error iff loc(alpha^-i) = 0.  Lane s-1
+    # holds loc(alpha^s) = loc(alpha^-(n-s)), so reversed, lane i stands for
+    # position i.  A locator of degree d <= L has at most d roots, so L
+    # zeros also means degree L.
     terms = [(log[c], j) for j, c in enumerate(loc) if c]
-    values = _evaluate(params, terms, n)
+    values = _evaluate(params, terms, n)[::-1]
     if values.count(0) != length:
         return None
-    positions, lane = [], -1
-    for _ in range(length):
-        lane = values.index(0, lane + 1)
-        positions.append(n - 1 - lane)
 
-    # Forney with first consecutive root alpha^1:
-    #   Y = omega(X^-1) / loc'(X^-1),  omega = S(x) * loc(x) mod x^L,
-    # since loc generates every S_j, the terms L .. n-k-1 of S * loc vanish.
-    # loc has distinct roots, so loc' does not vanish at them, and no Y is
-    # 0 (module docstring), so both values have logs.
-    omega = [0] * length
-    for i, c in enumerate(loc[:length]):
-        if c:
-            log_c = log[c]
-            for j, s in enumerate(synd[:length - i]):
-                if s:
-                    omega[i + j] ^= exp[log_c + log_synd[j]]
-    omega_terms = [(log[c], j) for j, c in enumerate(omega) if c]
+    # Forney's value with first consecutive root alpha^1, in Horiguchi's form
+    #   Y = X^-(n-k) / (B(X^-1) * loc'(X^-1))
+    # for the correction term B.  loc has distinct roots, so loc' does not
+    # vanish at them, and omega(X^-1) * B(X^-1) = X^-(n-k) (module
+    # docstring), so neither does B: both values have logs.
     # In characteristic 2 the formal derivative keeps the odd powers only:
     # c_j x^j becomes c_j x^(j-1) for odd j.
     deriv_terms = [(log_c, j - 1) for log_c, j in terms if j % 2]
-    pattern = {}
-    for i in reversed(positions):
-        num = den = 0
-        for log_c, j in omega_terms:
-            num ^= exp[(log_c - i * j) % n]
+    pattern, i = {}, -1
+    for _ in range(length):
+        i = values.index(0, i + 1)
+        b = d = 0
+        for log_c, j in correction:
+            b ^= exp[(log_c - i * j) % n]
         for log_c, j in deriv_terms:
-            den ^= exp[(log_c - i * j) % n]
-        pattern[i] = exp[log[num] - log[den] + n]
+            d ^= exp[(log_c - i * j) % n]
+        pattern[i] = exp[(-params.n_parity * i - log[b] - log[d]) % n]
     return pattern

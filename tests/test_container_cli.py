@@ -1,6 +1,7 @@
 """Container format round trips and CLI behavior."""
 
 import random
+import struct
 
 import pytest
 
@@ -111,12 +112,37 @@ def test_container_truncated_header():
 @pytest.mark.parametrize("m", range(3, 17))
 def test_container_header_needs_two_parity_symbols(m):
     """k = n - 1 leaves t = 0, so no embed writes it: the header check
-    refuses it, and k = n - 2 (t = 1) still unpacks."""
+    refuses it, and k = n - 2 (t = 1) still unpacks.  The k = n - 1 header
+    is built by hand, since ``pack_container`` refuses to write it."""
     n = (1 << m) - 1
+    header = struct.pack(">8sBHHIQ", MAGIC, m, n, n - 1, 0, 0)
     with pytest.raises(CorruptHeaderError):
-        unpack_container(pack_container(m, n, n - 1, 0, 0, [0] * n))
+        unpack_container(header + pack_symbols([0] * n, m))
     cont = unpack_container(pack_container(m, n, n - 2, 0, 0, [0] * n))
     assert CodeParams(GF2m(m), cont.n, cont.k).t == 1
+
+
+@pytest.mark.parametrize("m, n, k", [
+    (2, 3, 1),          # m below 3
+    (17, 131071, 1),    # m above 16
+    (5, 30, 19),        # n != 2^m - 1
+    (5, 32, 19),
+    (16, 1 << 16, 1),   # n does not fit the header's 16 bits
+    (5, 31, 30),        # k = n - 1: t = 0
+    (5, 31, 31),
+    (5, 31, 0),
+    (8, 255, 254),
+])
+def test_pack_container_refuses_what_unpack_refuses(m, n, k):
+    """The writer and the reader share one header rule: every geometry the
+    reader refuses, the writer refuses before packing anything."""
+    with pytest.raises(ValueError) as raised:
+        pack_container(m, n, k, 0, 0, [])
+    assert not isinstance(raised.value, CorruptHeaderError)
+    if n < 1 << 16:   # the reader refuses the same header
+        header = struct.pack(">8sBHHIQ", MAGIC, m % 256, n, k, 0, 0)
+        with pytest.raises(CorruptHeaderError):
+            unpack_container(header)
 
 
 def test_container_inconsistent_geometry():

@@ -196,8 +196,21 @@ def test_pool_any_spreads_over_whole_codeword(rs31):
     assert sum(hist[p] for p in range(rs31.n_parity, rs31.n)) > 0
 
 
-def test_zero_trials_report(rs31, tmp_path):
-    report = run_experiment(_single(rs31, trials=0))
+def test_config_rejects_trials_and_seeds_that_cannot_run(rs31):
+    """A report needs at least one trial, and the seeds fork from an int:
+    both are refused at construction, not in the first trial."""
+    for trials in (0, -1, 2.5, 1.0, True, "3"):
+        with pytest.raises(ValueError, match="trials must be an int >= 1"):
+            _single(rs31, trials=trials)
+    for seed in (1.5, 1.0, True, None, "0"):
+        with pytest.raises(ValueError, match="master_seed must be an int"):
+            _single(rs31, master_seed=seed)
+    report = run_experiment(_single(rs31, trials=1, master_seed=-1))
+    assert (report.trials, report.pct_decoded_info) == (1, 100.0)
+
+
+def test_error_hist_export_without_errors(rs31, tmp_path):
+    report = run_experiment(_single(rs31, channel=ChannelSpec(mode="none"), trials=3))
     assert report.pct_decoded_info == 100.0
     assert sum(report.error_location_hist) == 0
     paths = export_report(report, tmp_path)

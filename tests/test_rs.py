@@ -788,6 +788,40 @@ def test_decode_contract_on_every_coset(m, k):
     assert successes == sum(comb(n, w) * (q - 1) ** w for w in range(t + 1))
 
 
+@pytest.mark.parametrize("m, k, miscorrects", [
+    (5, 27, True), (5, 26, False), (8, 251, True), (8, 250, False),
+])
+def test_decode_contract_beyond_t(m, k, miscorrects):
+    """300 seeded words with t + 1 to n - k errors each, where the cosets are
+    too many to enumerate.  A failure returns the received word; a success
+    is a codeword by the remainder oracle, within t of the received word,
+    and the received word is the corrected one XOR the pattern.  The odd
+    n - k of RS(31,26) and RS(255,250) check Forney's X^-(n-k) at n - k
+    != 2t; at even n - k some of these words miscorrect."""
+    params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
+    n, q, t = params.n, params.field.q, params.t
+    rnd = random.Random(2000 + k)
+    miscorrections = 0
+    for _ in range(300):
+        sent = encode(params, [rnd.randrange(q) for _ in range(k)])
+        received = list(sent)
+        for pos in rnd.sample(range(n), rnd.randint(t + 1, params.n_parity)):
+            received[pos] ^= rnd.randrange(1, q)
+        result = decode(params, received)
+        corrected = result.corrected
+        if result.failure:
+            assert corrected.symbols == received
+            continue
+        miscorrections += 1   # sent is more than t from the received word
+        assert corrected.symbols == remainder_encode(params, corrected.data)
+        assert hamming_distance(corrected.symbols, received) <= t
+        rebuilt = list(corrected)
+        for pos, y in result.error_magnitudes.items():
+            rebuilt[pos] ^= y
+        assert rebuilt == received
+    assert miscorrections > 0 or not miscorrects
+
+
 def test_decode_flags_word_with_only_the_last_syndrome_nonzero(rs7):
     """g'(x) = prod_{j=1..4} (x + alpha^j), read as an RS(7,2) word.
 
