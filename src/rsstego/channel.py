@@ -15,7 +15,8 @@ packing: global bit b lives in symbol b // m, mask 1 << (m - 1 - b % m).
 
 Each mode only draws its error pattern, a map from position to nonzero XOR
 delta (``ErrorEvent.deltas``); the noisy word is the input XOR that map,
-applied in one place.  The bit modes share ``_bit_deltas``, the one place
+applied by ``Codeword._xor``, the XOR that also applies ``embed``'s hidden
+symbols and ``decode``'s correction.  The bit modes share ``_bit_deltas``, the one place
 that maps bits of the MSB-first bitstream to symbols.
 """
 
@@ -108,8 +109,4 @@ def apply_noise(
             pattern &= (1 << w) - 1
         deltas = _bit_deltas(offset, pattern, w, m)
 
-    symbols = list(codeword.symbols)
-    for pos, delta in deltas.items():
-        symbols[pos] ^= delta
-    # Every delta is below q, so the noisy word needs no second check.
-    return Codeword._of(params, symbols), ErrorEvent(deltas, bit_offset=offset)
+    return codeword._xor(deltas), ErrorEvent(deltas, bit_offset=offset)

@@ -165,8 +165,14 @@ def pack_container(
     m: int, n: int, k: int, message_len: int, seed: int, symbols
 ) -> bytes:
     """The RSSTEG01 bytes: header, then the packed symbols.  A geometry
-    that ``unpack_container`` would refuse raises ``ValueError``."""
+    that ``unpack_container`` would refuse raises ``ValueError``, as do a
+    ``message_len`` that is not an int >= 0 and a seed that is not an int
+    (bools are refused); a negative seed is stored modulo 2^64."""
     _check_geometry(m, n, k, ValueError)
+    if type(message_len) is not int or message_len < 0:
+        raise ValueError(f"message_len must be an int >= 0, got {message_len!r}")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
     if message_len > 0xFFFFFFFF:
         raise MessageTooLargeError(f"message of {message_len} bytes exceeds 2^32 - 1")
     header = _HEADER.pack(MAGIC, m, n, k, message_len, seed & ((1 << 64) - 1))

@@ -70,7 +70,7 @@ class GF2m:
 
         # exp table doubled so a sum of two logs needs no modulo.
         order = self.q - 1
-        exp = [0] * (2 * order)
+        exp = [0] * order
         log = [0] * self.q
         val = 1
         for i in range(order):
@@ -79,9 +79,7 @@ class GF2m:
             val <<= 1
             if val & self.q:
                 val ^= poly
-        for i in range(order, 2 * order):
-            exp[i] = exp[i - order]
-        self._exp = exp
+        self._exp = exp + exp
         self._log = log
 
     def __repr__(self) -> str:

@@ -6,6 +6,12 @@ in positions [n-k, n), with the vectors indexed from the top: data symbol i
 sits at position n-1-i and parity symbol j at position n-k-1-j.
 ``Codeword.data`` and ``Codeword.parity`` are the one definition of that
 layout; read the blocks through them rather than hard-coding positions.
+``_field_symbols`` is the one check of a symbol sequence's length and
+range, for ``Codeword``, ``encode`` and ``stego.embed``, and
+``Codeword._xor`` is the one place where a word's symbols change: a word
+XOR an error pattern, position -> delta.  The decoder's correction, the
+channel's noise (``channel.apply_noise``) and the hidden message
+(``stego.embed``) are all such patterns.
 
 Encoding divides by the generator polynomial
 
@@ -75,9 +81,9 @@ error-evaluation algorithm").  These are Forney's values, so the argument
 above holds as it stands, and B(X^-1) is never 0.
 
 Either path yields the error pattern, a map from position to nonzero
-magnitude (``DecodeResult.error_magnitudes``), and ``decode`` builds the
-corrected word in one place, as the received word XOR that pattern.  A
-failure returns the received word itself and an empty pattern.
+magnitude (``DecodeResult.error_magnitudes``), and the corrected word is
+the received word XOR that pattern, built by ``Codeword._xor``.  A failure
+returns the received word itself and an empty pattern.
 
 The syndrome path runs in the log domain, without ``GF2m.mul``: a
 product is one lookup in the doubled exp table at the sum of two logs.
@@ -126,7 +132,7 @@ from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from operator import index
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .galois import GF2m
 
@@ -173,9 +179,23 @@ class CodeParams:
         return self.n - self.k
 
 
-def _field_symbols(symbols: Iterable, q: int, what: str) -> list[int]:
-    """The symbols as ints, each in [0, q): ``ValueError`` for a symbol that
-    ``operator.index`` refuses (a float, a str) or one outside the range."""
+def _field_symbols(symbols: Iterable, count: int, q: int, what: str) -> list[int]:
+    """The one entry check of a symbol sequence: ``count`` ints in [0, q).
+
+    ``LengthMismatchError`` for any other count, ``ValueError`` for a symbol
+    that ``operator.index`` refuses (a float, a str) or one outside the
+    range.  A list of in-range ints is returned as it is, not copied; any
+    other input comes back as a new list of ``int``.
+    """
+    if type(symbols) is not list:
+        symbols = list(symbols)
+    if len(symbols) != count:
+        raise LengthMismatchError(f"need {count} {what}s, got {len(symbols)}")
+    for s in symbols:
+        if type(s) is not int or not 0 <= s < q:
+            break
+    else:
+        return symbols
     out = []
     for s in symbols:
         try:
@@ -192,28 +212,24 @@ class Codeword:
     """One n-symbol vector split into a parity block and a data block.
 
     A word is checked once, when it enters the library:
-    ``Codeword(params, symbols)`` raises ``LengthMismatchError`` unless
-    there are n symbols and ``ValueError`` for a symbol that is not an
-    integer or lies outside [0, q).  Ints, bools and numpy integers pass
-    and are stored as ``int``.
+    ``Codeword(params, symbols)`` copies any iterable and hands it to
+    ``_field_symbols``, the entry check that ``encode`` and ``embed`` share,
+    which raises ``LengthMismatchError`` unless there are n symbols and
+    ``ValueError`` for a symbol that is not an integer or lies outside
+    [0, q).  Ints, bools and numpy integers pass and are stored as ``int``.
     ``decode`` and ``syndromes`` use a ``Codeword`` of their own geometry as
     it is, and the words the library computes from checked symbols
-    (``encode``, ``embed``, ``apply_noise``, ``decode``) are built without a
-    second check, as are the words ``rsstego extract`` reads from an
-    ``RSSTEG01`` container, whose symbols are m-bit fields by construction.
-    Mutating ``symbols`` afterwards is unsupported.
+    (``encode``, and ``_xor`` for ``embed``, ``apply_noise`` and ``decode``)
+    are built without a second check, as are the words ``rsstego extract``
+    reads from an ``RSSTEG01`` container, whose symbols are m-bit fields by
+    construction.  Mutating ``symbols`` afterwards is unsupported.
     """
 
     __slots__ = ("params", "symbols")
 
     def __init__(self, params: CodeParams, symbols: Iterable[int]):
-        symbols = list(symbols)
-        if len(symbols) != params.n:
-            raise LengthMismatchError(
-                f"codeword needs {params.n} symbols, got {len(symbols)}"
-            )
         self.params = params
-        self.symbols = _field_symbols(symbols, params.field.q, "symbol")
+        self.symbols = _field_symbols(list(symbols), params.n, params.field.q, "symbol")
 
     @classmethod
     def _of(cls, params: CodeParams, symbols: list[int]) -> "Codeword":
@@ -221,6 +237,15 @@ class Codeword:
         word = cls.__new__(cls)
         word.params, word.symbols = params, symbols
         return word
+
+    def _xor(self, pattern: Mapping[int, int]) -> "Codeword":
+        """A new word: this one XOR an error pattern, position -> delta in
+        [0, q).  The one place where a word's symbols change (see the module
+        docstring)."""
+        symbols = self.symbols.copy()
+        for pos, delta in pattern.items():
+            symbols[pos] ^= delta
+        return Codeword._of(self.params, symbols)
 
     @property
     def data(self) -> list[int]:
@@ -297,22 +322,15 @@ def build_cauchy(params: CodeParams) -> CauchyGenerator:
     return CauchyGenerator(lanes=lanes, lane_bits=width, table=tuple(table))
 
 
-def encode(params: CodeParams, data: Sequence[int]) -> Codeword:
+def encode(params: CodeParams, data: Iterable[int]) -> Codeword:
     """Systematic encode: the k data symbols appear verbatim in the codeword.
 
-    Data symbols follow the ``Codeword`` rule: ``ValueError`` for one that
-    is not an integer in [0, q); integer types other than ``int`` are
-    stored as ``int``.
+    ``data`` is any iterable of k symbols, checked by the ``Codeword``
+    rule: ``LengthMismatchError`` for another count and ``ValueError`` for
+    a symbol that is not an integer in [0, q); integer types other than
+    ``int`` are stored as ``int``.
     """
-    if len(data) != params.k:
-        raise LengthMismatchError(f"need {params.k} data symbols, got {len(data)}")
-    q = params.field.q
-    for d in data:
-        if type(d) is not int or not 0 <= d < q:
-            # Some symbol is not an in-range int: convert the block by the
-            # Codeword rule, or raise.
-            data = _field_symbols(data, q, "data symbol")
-            break
+    data = _field_symbols(data, params.k, params.field.q, "data symbol")
     return Codeword._of(params, [*_parity(build_cauchy(params), data), *reversed(data)])
 
 
@@ -507,12 +525,7 @@ def decode(params: CodeParams, received) -> DecodeResult:
         pattern = _syndrome_pattern(params, error)
         if pattern is None:
             return DecodeResult(corrected=word, failure=True)
-    corrected = list(word.symbols)
-    for i, y in pattern.items():
-        corrected[i] ^= y
-    return DecodeResult(
-        corrected=Codeword._of(params, corrected), error_magnitudes=pattern
-    )
+    return DecodeResult(corrected=word._xor(pattern), error_magnitudes=pattern)
 
 
 def _syndrome_pattern(params: CodeParams, error: list[int]) -> dict[int, int] | None:

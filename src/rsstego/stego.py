@@ -23,20 +23,19 @@ SplitMix64, so both endpoints derive the same key from a shared seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple
 
 from .rng import SplitMix64
 from .rs import (
     CodeParams,
     Codeword,
     DecodeResult,
-    LengthMismatchError,
     _field_symbols,
     _received,
     decode,
 )
 
-SecretMessage = Sequence[int]
+SecretMessage = Iterable[int]
 
 
 class BudgetExceededError(ValueError):
@@ -113,22 +112,20 @@ def derive_positions(
 def embed(clean: Codeword, key: StegoKey, message: SecretMessage) -> Codeword:
     """Substitute the symbols at the key positions with message symbols.
 
-    A message symbol equal to the clean symbol is fine: it produces a
-    zero-magnitude "error" and extraction still reads it back, because
-    extraction reads received values rather than deltas.  A message symbol
-    that is not an integer in [0, q) raises ``ValueError``.
+    The substitution is an error pattern, message symbol XOR clean symbol
+    at each key position, applied by ``Codeword._xor`` as the channel's
+    noise and the decoder's correction are: it is the pattern the decoder
+    later removes.  A message symbol equal to the clean symbol is fine: it
+    produces a zero-magnitude "error" and extraction still reads it back,
+    because extraction reads received values rather than deltas.  The key
+    is checked first; then ``message`` may be any iterable of one symbol
+    per key position (else ``LengthMismatchError``), each an integer in
+    [0, q) (else ``ValueError``).
     """
-    params = clean.params
-    if len(message) != len(key.positions):
-        raise LengthMismatchError(
-            f"message has {len(message)} symbols for {len(key.positions)} positions"
-        )
+    params, positions = clean.params, key.positions
     check_key(params, key)
-    message = _field_symbols(message, params.field.q, "message symbol")
-    symbols = list(clean.symbols)
-    for pos, sym in zip(key.positions, message):
-        symbols[pos] = sym
-    return Codeword._of(params, symbols)
+    message = _field_symbols(message, len(positions), params.field.q, "message symbol")
+    return clean._xor({p: s ^ clean.symbols[p] for p, s in zip(positions, message)})
 
 
 class ExtractResult(NamedTuple):

@@ -10,6 +10,7 @@ from rsstego import (
     CodeParams,
     CorruptHeaderError,
     GF2m,
+    MessageTooLargeError,
     pack_container,
     unpack_container,
 )
@@ -143,6 +144,30 @@ def test_pack_container_refuses_what_unpack_refuses(m, n, k):
         header = struct.pack(">8sBHHIQ", MAGIC, m % 256, n, k, 0, 0)
         with pytest.raises(CorruptHeaderError):
             unpack_container(header)
+
+
+@pytest.mark.parametrize("message_len, seed", [
+    (-1, 0),
+    (1.0, 0),
+    (True, 0),
+    ("7", 0),
+    (7, 1.5),
+    (7, True),
+    (7, None),
+], ids=repr)
+def test_pack_container_refuses_a_bad_length_or_seed(message_len, seed):
+    """message_len must be an int >= 0 and the seed an int, bools refused,
+    with the ValueError every other bad argument gives."""
+    with pytest.raises(ValueError) as raised:
+        pack_container(5, 31, 19, message_len, seed, [])
+    assert not isinstance(raised.value, MessageTooLargeError)
+
+
+def test_pack_container_length_bound_and_seed_mask():
+    with pytest.raises(MessageTooLargeError):
+        pack_container(5, 31, 19, 1 << 32, 0, [])
+    cont = unpack_container(pack_container(5, 31, 19, (1 << 32) - 1, -1, []))
+    assert (cont.message_len, cont.seed) == ((1 << 32) - 1, (1 << 64) - 1)
 
 
 def test_container_inconsistent_geometry():

@@ -143,6 +143,26 @@ def test_integer_symbols_are_stored_as_int(rs31):
         assert all(type(s) is int for s in w.symbols)
 
 
+@pytest.mark.parametrize("entry", ["Codeword", "encode", "embed"])
+def test_no_caller_list_ends_up_inside_a_word(rs31, entry):
+    """The entry check hands a list of in-range ints back as it is, so each
+    entry point must copy it: changing the caller's list afterwards leaves
+    the returned word as it was."""
+    clean = encode(rs31, list(range(19)))
+    key = derive_positions(rs31, 1, 2)
+    symbols, make = {
+        "Codeword": (list(range(31)), lambda s: Codeword(rs31, s)),
+        "encode": (list(range(19)), lambda s: encode(rs31, s)),
+        "embed": ([5, 9], lambda s: embed(clean, key, s)),
+    }[entry]
+    word = make(symbols)
+    before = list(word.symbols)
+    symbols[:] = [1] * len(symbols)
+    symbols.append(1)
+    assert word.symbols == before
+    assert clean == encode(rs31, list(range(19)))
+
+
 # ----------------------------------------------------------------------
 # Cauchy generator
 # ----------------------------------------------------------------------
@@ -179,7 +199,18 @@ def test_build_cauchy_cache_is_bounded_and_keyed_by_value():
     for k in range(1, 30):  # 29 distinct RS(31, k) geometries
         build_cauchy(CodeParams(GF2m(5), 31, k))
     assert build_cauchy.cache_info().currsize <= info.maxsize < 29
+    # The exp run that syndromes builds is cached apart, by the same rules.
+    rs._exp_run.cache_clear()
+    for _ in range(52):
+        syndromes(CodeParams(GF2m(5), 31, 19), [1] * 31)
+    info = rs._exp_run.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+    assert isinstance(info.maxsize, int)
+    for k in range(1, 30):
+        syndromes(CodeParams(GF2m(5), 31, k), [1] * 31)
+    assert rs._exp_run.cache_info().currsize <= info.maxsize < 29
     build_cauchy.cache_clear()
+    rs._exp_run.cache_clear()
 
 
 def test_encoder_keeps_under_1_mb_alive_at_m12():
