@@ -12,6 +12,8 @@ from .container import (
     Container,
     CorruptHeaderError,
     MessageTooLargeError,
+    embed_container,
+    extract_container,
     pack_container,
     unpack_container,
 )
@@ -75,9 +77,11 @@ __all__ = [
     "decode",
     "derive_positions",
     "embed",
+    "embed_container",
     "encode",
     "export_report",
     "extract",
+    "extract_container",
     "fork",
     "max_affected_symbols",
     "mix64",

@@ -7,9 +7,11 @@ machine-readable lines:
     pct_decoded_info=<float>
     pct_decoded_secret=<float>
 
-``embed`` and ``extract`` lay the message over the codeword grid by the
-payload rule of the README's "Container format" section, through
-``_keys``, the one place that derives a codeword's key.
+``embed`` and ``extract`` read and write files around
+``container.embed_container`` and ``container.extract_container``, which
+own the RSSTEG01 payload rule and its checks.  This module keeps only the
+flags, the file reads and writes, ``_check_stego_sign`` (whose ``--stego``
+messages come before the library's own checks) and the exit status.
 
 Exit status: 0 on success, 1 when any codeword reports a decode failure,
 an input file is unusable or a flag's value is refused (such as
@@ -20,22 +22,13 @@ from __future__ import annotations
 
 import argparse
 import sys
-from itertools import islice
 from pathlib import Path
 
 from .channel import ChannelSpec
-from .container import (
-    CorruptHeaderError,
-    bytes_to_symbols,
-    pack_container,
-    symbols_to_bytes,
-    unpack_container,
-)
+from .container import embed_container, extract_container, unpack_container
 from .galois import GF2m
 from .harness import ExperimentConfig, export_report, run_experiment
-from .rng import fork
-from .rs import CodeParams, Codeword, encode
-from .stego import check_budget, derive_positions, embed, extract
+from .rs import CodeParams
 
 _MODE_FLAGS = {
     "none": "none",
@@ -90,30 +83,12 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # embed / extract
 # ----------------------------------------------------------------------
-def _check_stego_sign(stego: int, message_symbols: int = 0) -> None:
+def _check_stego_sign(stego: int, message_len: int = 0) -> None:
     """Raise unless --stego is non-negative, and positive for a message."""
     if stego < 0:
         raise ValueError(f"--stego must be non-negative, got {stego}")
-    if stego == 0 and message_symbols:
+    if stego == 0 and message_len:
         raise ValueError("--stego must be positive to carry a non-empty message")
-
-
-def _check_stego(params: CodeParams, stego: int, message_symbols: int) -> int:
-    """Raise unless --stego symbols per codeword can carry the message and
-    fit the code's budget, whether or not any codeword fills up; return the
-    number of codewords the message needs."""
-    _check_stego_sign(stego, message_symbols)
-    check_budget(params, stego, 0)
-    return -(-message_symbols // stego) if message_symbols else 0
-
-
-def _keys(params: CodeParams, seed: int, stego: int, message_symbols: int,
-          codewords: int):
-    """Codeword i's key, for i < codewords: where it hides the next
-    min(stego, remaining) of the message_symbols symbols."""
-    for i in range(codewords):
-        count = min(stego, max(0, message_symbols - i * stego))
-        yield derive_positions(params, fork(seed, i), count)
 
 
 def _code_params(args) -> CodeParams:
@@ -125,58 +100,23 @@ def _code_params(args) -> CodeParams:
 
 def cmd_embed(args) -> int:
     params = _code_params(args)
-    m, k, c = args.m, args.k, args.stego
-    data_bytes = Path(args.data).read_bytes()
-    msg_bytes = Path(args.message).read_bytes()
-
-    data_syms = bytes_to_symbols(data_bytes, m)
-    msg_syms = bytes_to_symbols(msg_bytes, m)
-    num_cw = max(-(-len(data_syms) // k), _check_stego(params, c, len(msg_syms)))
-    data_syms += [0] * (num_cw * k - len(data_syms))
-
-    out_symbols: list[int] = []
-    keys = _keys(params, args.seed, c, len(msg_syms), num_cw)
-    for i, key in enumerate(keys):
-        clean = encode(params, data_syms[i * k:(i + 1) * k])
-        out_symbols.extend(embed(clean, key, msg_syms[i * c:(i + 1) * c]).symbols)
-
-    blob = pack_container(m, params.n, k, len(msg_bytes), args.seed, out_symbols)
+    data = Path(args.data).read_bytes()
+    message = Path(args.message).read_bytes()
+    _check_stego_sign(args.stego, len(message))
+    blob, count, residual = embed_container(params, data, message, args.seed, args.stego)
     Path(args.out).write_bytes(blob)
-    print(f"codewords={num_cw}")
-    print(f"residual_capacity={num_cw * c - len(msg_syms)}")
+    print(f"codewords={count}")
+    print(f"residual_capacity={residual}")
     return 0
 
 
 def cmd_extract(args) -> int:
     cont = unpack_container(Path(args.container).read_bytes())
-    params = CodeParams(field=GF2m(cont.m), n=cont.n, k=cont.k)
-    seed = cont.seed if args.seed is None else args.seed
-
-    msg_sym_total = (cont.message_len * 8 + cont.m - 1) // cont.m
-    needed_cw = _check_stego(params, args.stego, msg_sym_total)
-    if needed_cw > cont.num_codewords:
-        raise CorruptHeaderError(
-            f"message needs {needed_cw} codewords, container holds "
-            f"{cont.num_codewords}"
-        )
-
-    data_syms: list[int] = []
-    msg_syms: list[int] = []
-    any_failure = False
-    received = iter(cont.symbols)
-    for key in _keys(params, seed, args.stego, msg_sym_total, cont.num_codewords):
-        # unpack_container checked n = 2^m - 1 and yields m-bit symbols.
-        word = Codeword._of(params, list(islice(received, cont.n)))
-        result = extract(word, key, params)
-        data_syms.extend(result.data)
-        msg_syms.extend(result.message)
-        any_failure |= result.diagnostics.failure
-
-    Path(args.out_data).write_bytes(symbols_to_bytes(data_syms, cont.m))
-    Path(args.out_message).write_bytes(
-        symbols_to_bytes(msg_syms, cont.m, byte_len=cont.message_len)
-    )
-    if any_failure:
+    _check_stego_sign(args.stego, cont.message_len)
+    data, message, failure = extract_container(cont, args.stego, args.seed)
+    Path(args.out_data).write_bytes(data)
+    Path(args.out_message).write_bytes(message)
+    if failure:
         print("decode failures encountered", file=sys.stderr)
         return 1
     return 0

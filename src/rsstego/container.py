@@ -1,4 +1,4 @@
-"""Stego container file format and symbol/byte packing.
+"""The RSSTEG01 container: header, payload rule and symbol/byte packing.
 
 Layout (all integers big-endian):
 
@@ -17,9 +17,29 @@ The codeword count is floor(payload_bits / m) // n; requiring m >= 3 makes
 that unambiguous (the final byte's padding can never fake a whole extra
 codeword, since n >= 7 > 7/m).  There is deliberately no carrier-data
 length field, so recovered carrier data is zero-padded to the codeword
-grid; the message is byte-exact via its length field.  How ``rsstego
-embed`` lays carrier and message over that grid, the payload rule, is
-stated in the README's "Container format" section.
+grid; the message is byte-exact via its length field.
+
+``embed_container`` and ``extract_container`` are the one home of the
+payload rule, which lays carrier and message over that grid.  Carrier and
+message bytes are each read as one MSB-first stream of m-bit symbols, the
+last one zero-padded.  With s message symbols per codeword:
+
+* the codeword count is max(ceil(data symbols / k), ceil(message symbols /
+  s)), and 0 message symbols need 0 codewords;
+* the carrier symbols are zero-padded to count * k, and codeword i is
+  ``encode(params, data[i*k:(i+1)*k])``;
+* codeword i hides the next min(s, remaining) message symbols, in order,
+  at ``derive_positions(params, fork(seed, i), count)`` (``_keys``);
+  codewords past the end of the message hide nothing.
+
+Both ends check s and the key seed before any codeword is touched
+(``_message_codewords``): s is an int in [0, t], positive for a non-empty
+message, and the seed an int.  Extraction also refuses, with
+``CorruptHeaderError``, a message length that needs more codewords than
+the payload holds.  ``pack_container`` and ``unpack_container`` are the
+header alone.  ``rng.fork`` is the one seed derivation, and the RSSTEG01
+keys above are one of its two fixed schemes (the experiment's, in
+``harness``, is the other).
 
 One algorithm packs every width.  Each symbol gets a byte lane of w = 8
 bits (m <= 8) or w = 16 bits (m > 8), converted to and from bytes in one
@@ -37,6 +57,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import islice
+
+from .galois import GF2m
+from .rng import fork
+from .rs import CodeParams, Codeword, encode
+from .stego import check_budget, check_key_request, derive_positions, embed, extract
 
 MAGIC = b"RSSTEG01"
 _HEADER = struct.Struct(">8sBHHIQ")
@@ -183,18 +209,82 @@ def unpack_container(blob: bytes) -> Container:
     if len(blob) < len(MAGIC) or not blob.startswith(MAGIC):
         raise BadMagicError("not an RSSTEG01 container")
     if len(blob) < HEADER_SIZE:
-        raise CorruptHeaderError(
-            f"header truncated: {len(blob)} bytes < {HEADER_SIZE}"
-        )
+        raise CorruptHeaderError(f"header truncated: {len(blob)} bytes < {HEADER_SIZE}")
     _, m, n, k, message_len, seed = _HEADER.unpack(blob[:HEADER_SIZE])
     _check_geometry(m, n, k, CorruptHeaderError)
     symbols = unpack_symbols(blob[HEADER_SIZE:], m)
     del symbols[len(symbols) // n * n:]   # in place: one copy, the tuple
-    return Container(
-        m=m,
-        n=n,
-        k=k,
-        message_len=message_len,
-        seed=seed,
-        symbols=tuple(symbols),
-    )
+    return Container(m=m, n=n, k=k, message_len=message_len, seed=seed,
+                     symbols=tuple(symbols))
+
+
+def _message_codewords(params: CodeParams, stego: int, seed: int, symbols: int) -> int:
+    """The checks both ends make before any codeword: stego is an int in
+    [0, t], positive for a message, and seed an int (bools are refused);
+    return the number of codewords that many message symbols need."""
+    check_key_request(params, stego, "parity")
+    check_budget(params, stego, 0)
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an int, got {seed!r}")
+    if stego == 0 and symbols:
+        raise ValueError("stego must be positive to carry a non-empty message")
+    return -(-symbols // stego) if symbols else 0
+
+
+def _keys(params: CodeParams, seed: int, stego: int, symbols: int, codewords: int):
+    """Codeword i's key, for i < codewords: where it hides the next
+    min(stego, remaining) of the message's ``symbols`` symbols."""
+    for i in range(codewords):
+        count = min(stego, max(0, symbols - i * stego))
+        yield derive_positions(params, fork(seed, i), count)
+
+
+def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
+                    stego: int) -> tuple[bytes, int, int]:
+    """The RSSTEG01 bytes that hide ``message`` in ``data`` by the payload
+    rule, ``stego`` symbols per codeword under the key ``seed``, with the
+    codeword count and the residual capacity (message symbols the grid
+    could still take).  A refused stego or seed raises ``ValueError``
+    (``BudgetExceededError`` for a stego above t) before any codeword is
+    encoded."""
+    m, k = params.field.m, params.k
+    data_syms = bytes_to_symbols(data, m)
+    msg_syms = bytes_to_symbols(message, m)
+    count = max(-(-len(data_syms) // k),
+                _message_codewords(params, stego, seed, len(msg_syms)))
+    data_syms += [0] * (count * k - len(data_syms))
+    payload: list[int] = []
+    for i, key in enumerate(_keys(params, seed, stego, len(msg_syms), count)):
+        clean = encode(params, data_syms[i * k:(i + 1) * k])
+        payload.extend(embed(clean, key, msg_syms[i * stego:(i + 1) * stego]).symbols)
+    blob = pack_container(m, params.n, k, len(message), seed, payload)
+    return blob, count, count * stego - len(msg_syms)
+
+
+def extract_container(container: Container, stego: int,
+                      seed: int | None = None) -> tuple[bytes, bytes, bool]:
+    """The carrier (zero-padded to the codeword grid), the message, and
+    whether any codeword failed to decode, from a container that
+    ``unpack_container`` returned; ``seed`` defaults to the header's.  The
+    stego checks of ``embed_container`` apply, and a message that needs
+    more codewords than the container holds raises ``CorruptHeaderError``.
+    """
+    m = container.m
+    params = CodeParams(field=GF2m(m), n=container.n, k=container.k)
+    seed = container.seed if seed is None else seed
+    msg_count = -(-container.message_len * 8 // m)
+    needed = _message_codewords(params, stego, seed, msg_count)
+    if needed > container.num_codewords:
+        raise CorruptHeaderError(f"message needs {needed} codewords, container "
+                                 f"holds {container.num_codewords}")
+    data_syms, msg_syms, failure = [], [], False
+    received = iter(container.symbols)
+    for key in _keys(params, seed, stego, msg_count, container.num_codewords):
+        # unpack_container checked n = 2^m - 1 and yields m-bit symbols.
+        word = Codeword._of(params, list(islice(received, params.n)))
+        result = extract(word, key, params)
+        data_syms.extend(result.data)
+        msg_syms.extend(result.message)
+        failure |= result.diagnostics.failure
+    return (symbols_to_bytes(data_syms, m),
+            symbols_to_bytes(msg_syms, m, byte_len=container.message_len), failure)

@@ -13,8 +13,10 @@ metrics:
 * error_location_hist       - channel-error count per codeword position;
 * stego_location_hist       - stego-position count per codeword position.
 
-Everything is a deterministic function of master_seed.  This module is
-the one place that derives seeds: trial i draws its data, message, key and
+Everything is a deterministic function of master_seed.  ``rng.fork`` is
+the one seed derivation, used by two fixed schemes: this module's
+experiment, and the RSSTEG01 keys of ``container`` (codeword i of a file
+hides under fork(seed, i)).  Here trial i draws its data, message, key and
 channel noise from the substreams fork(fork(master_seed, purpose), i), so
 identical master seeds give identical reports and any trial can be replayed
 on its own.  The config forks master_seed once per purpose, and

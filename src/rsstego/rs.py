@@ -182,13 +182,17 @@ class CodeParams:
 def _field_symbols(symbols: Iterable, count: int, q: int, what: str) -> list[int]:
     """The one entry check of a symbol sequence: ``count`` ints in [0, q).
 
+    ``ValueError`` for an input that is not iterable (``None``, an int),
     ``LengthMismatchError`` for any other count, ``ValueError`` for a symbol
     that ``operator.index`` refuses (a float, a str) or one outside the
     range.  A list of in-range ints is returned as it is, not copied; any
     other input comes back as a new list of ``int``.
     """
     if type(symbols) is not list:
-        symbols = list(symbols)
+        try:
+            symbols = list(symbols)
+        except TypeError:
+            raise ValueError(f"{what}s must be iterable, got {symbols!r}") from None
     if len(symbols) != count:
         raise LengthMismatchError(f"need {count} {what}s, got {len(symbols)}")
     for s in symbols:
@@ -212,24 +216,26 @@ class Codeword:
     """One n-symbol vector split into a parity block and a data block.
 
     A word is checked once, when it enters the library:
-    ``Codeword(params, symbols)`` copies any iterable and hands it to
-    ``_field_symbols``, the entry check that ``encode`` and ``embed`` share,
-    which raises ``LengthMismatchError`` unless there are n symbols and
-    ``ValueError`` for a symbol that is not an integer or lies outside
-    [0, q).  Ints, bools and numpy integers pass and are stored as ``int``.
+    ``Codeword(params, symbols)`` hands any iterable to ``_field_symbols``,
+    the entry check that ``encode`` and ``embed`` share, and keeps a copy of
+    what it returns.  The check raises ``LengthMismatchError`` unless there
+    are n symbols and ``ValueError`` for an input that is not iterable or a
+    symbol that is not an integer or lies outside [0, q).  Ints, bools and
+    numpy integers pass and are stored as ``int``.
     ``decode`` and ``syndromes`` use a ``Codeword`` of their own geometry as
     it is, and the words the library computes from checked symbols
     (``encode``, and ``_xor`` for ``embed``, ``apply_noise`` and ``decode``)
-    are built without a second check, as are the words ``rsstego extract``
-    reads from an ``RSSTEG01`` container, whose symbols are m-bit fields by
-    construction.  Mutating ``symbols`` afterwards is unsupported.
+    are built without a second check, as are the words
+    ``container.extract_container`` reads from an ``RSSTEG01`` container,
+    whose symbols are m-bit fields by construction.  Mutating ``symbols``
+    afterwards is unsupported.
     """
 
     __slots__ = ("params", "symbols")
 
     def __init__(self, params: CodeParams, symbols: Iterable[int]):
         self.params = params
-        self.symbols = _field_symbols(list(symbols), params.n, params.field.q, "symbol")
+        self.symbols = _field_symbols(symbols, params.n, params.field.q, "symbol").copy()
 
     @classmethod
     def _of(cls, params: CodeParams, symbols: list[int]) -> "Codeword":

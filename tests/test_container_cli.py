@@ -7,13 +7,17 @@ import pytest
 
 from rsstego import (
     BadMagicError,
+    BudgetExceededError,
     CodeParams,
     CorruptHeaderError,
     GF2m,
     MessageTooLargeError,
+    embed_container,
+    extract_container,
     pack_container,
     unpack_container,
 )
+from rsstego import container as container_module
 from rsstego.container import (
     HEADER_SIZE,
     MAGIC,
@@ -548,8 +552,9 @@ _PIN_CASES = [
 def test_cli_container_bytes_match_the_payload_rule(
     workdir, capsys, m, k, data_len, message_len, stego, case
 ):
-    """rsstego embed writes the container of the documented payload rule,
-    byte for byte, and rsstego extract restores both files."""
+    """rsstego embed and embed_container write the container of the
+    documented payload rule, byte for byte, and rsstego extract and
+    extract_container restore both files."""
     data_symbols = -(-data_len * 8 // m)
     message_symbols = -(-message_len * 8 // m)
     carrier_codewords = -(-data_symbols // k)
@@ -574,14 +579,21 @@ def test_cli_container_bytes_match_the_payload_rule(
     blob = (workdir / "out.rss").read_bytes()
     assert blob == rssteg01_container(data, message, m, k, stego, seed)
     codewords = max(carrier_codewords, message_codewords)
+    residual = codewords * stego - message_symbols
     assert out.splitlines() == [
         f"codewords={codewords}",
-        f"residual_capacity={codewords * stego - message_symbols}",
+        f"residual_capacity={residual}",
     ]
     assert (workdir / "msg.out").read_bytes() == message
     recovered = (workdir / "data.out").read_bytes()
     assert recovered[:data_len] == data
     assert not any(recovered[data_len:])
+
+    params = CodeParams(GF2m(m), (1 << m) - 1, k)
+    library = embed_container(params, data, message, seed, stego)
+    assert library == (blob, codewords, residual)
+    assert extract_container(unpack_container(blob), stego) == (recovered, message, False)
+    assert len(recovered) == codewords * k * m // 8
 
 
 # ----------------------------------------------------------------------
@@ -638,6 +650,8 @@ def test_unpack_container_raises_only_documented_errors(workdir, capsys):
 
 
 def test_cli_extract_never_raises_on_malformed_containers(workdir, capsys):
+    """Neither rsstego extract nor extract_container, on any container that
+    unpack_container accepts, raises anything but a ValueError."""
     container = workdir / "fuzz.rss"
     for blob in _fuzz_blobs(workdir, 200, seed=2):
         container.write_bytes(blob)
@@ -647,3 +661,47 @@ def test_cli_extract_never_raises_on_malformed_containers(workdir, capsys):
             "--out-message", str(workdir / "msg.out"),
         ])
         assert rc in (0, 1)
+        try:
+            cont = unpack_container(blob)
+        except (BadMagicError, CorruptHeaderError):
+            continue
+        try:
+            extract_container(cont, 2)
+        except ValueError:
+            pass
+
+
+# One RS(31,19) codeword whose header claims 8 message bytes: 13 symbols,
+# which need 7 codewords at 2 per codeword.
+_ONE_CODEWORD = pack_container(5, 31, 19, 8, 0, [0] * 31)
+
+
+def _extract_one(stego):
+    return extract_container(unpack_container(_ONE_CODEWORD), stego)
+
+
+@pytest.mark.parametrize("call, error, match", [
+    (lambda p: embed_container(p, bytes(64), b"", 0, -1), ValueError, "non-negative"),
+    (lambda p: _extract_one(-1), ValueError, "non-negative"),
+    (lambda p: embed_container(p, bytes(64), b"abc", 0, 0), ValueError, "positive"),
+    (lambda p: _extract_one(0), ValueError, "positive"),
+    (lambda p: embed_container(p, bytes(64), b"abc", 0, 7), BudgetExceededError, "t = 6"),
+    (lambda p: _extract_one(7), BudgetExceededError, "t = 6"),
+    (lambda p: _extract_one(2), CorruptHeaderError, "needs 7 codewords"),
+], ids=["embed-negative-stego", "extract-negative-stego",
+        "embed-zero-stego-with-message", "extract-zero-stego-with-message",
+        "embed-stego-above-t", "extract-stego-above-t", "message-beyond-the-payload"])
+def test_container_library_refuses_a_bad_stego_or_header(
+    rs31, monkeypatch, call, error, match
+):
+    """The library checks stego and the header itself, before any codeword
+    is encoded or decoded.  RS(31,19) has t = 6, and a 3-byte message (5
+    symbols) at 7 per codeword fills no codeword, so only that first check
+    can refuse it."""
+    def no_codeword(*args):
+        raise AssertionError("a codeword was touched before the check")
+
+    monkeypatch.setattr(container_module, "encode", no_codeword)
+    monkeypatch.setattr(container_module, "extract", no_codeword)
+    with pytest.raises(error, match=match):
+        call(rs31)

@@ -20,6 +20,7 @@ from rsstego import (
     derive_positions,
     embed,
     encode,
+    extract,
     syndromes,
 )
 from rsstego import rs
@@ -141,6 +142,22 @@ def test_integer_symbols_are_stored_as_int(rs31):
     assert clean == encode(rs31, [3, 1] + [0] * 17)
     for w in (word, stego, clean):
         assert all(type(s) is int for s in w.symbols)
+
+
+@pytest.mark.parametrize("call", [
+    lambda p, clean, key: decode(p, None),
+    lambda p, clean, key: syndromes(p, 3.5),
+    lambda p, clean, key: encode(p, 5),
+    lambda p, clean, key: embed(clean, key, None),
+    lambda p, clean, key: extract(None, key, p),
+    lambda p, clean, key: Codeword(p, None),
+], ids=["decode", "syndromes", "encode", "embed", "extract", "Codeword"])
+def test_a_value_that_is_not_iterable_raises_value_error(rs31, call):
+    """The entry check refuses a word, a data block or a message that is
+    not iterable with ``ValueError``, not ``list()``'s ``TypeError``."""
+    clean = encode(rs31, [0] * 19)
+    with pytest.raises(ValueError, match="must be iterable"):
+        call(rs31, clean, derive_positions(rs31, 1, 2))
 
 
 @pytest.mark.parametrize("entry", ["Codeword", "encode", "embed"])
