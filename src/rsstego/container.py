@@ -222,7 +222,7 @@ def _message_codewords(params: CodeParams, stego: int, seed: int, symbols: int) 
     """The checks both ends make before any codeword: stego is an int in
     [0, t], positive for a message, and seed an int (bools are refused);
     return the number of codewords that many message symbols need."""
-    check_key_request(params, stego, "parity")
+    check_key_request(params, stego, "parity", "stego")
     check_budget(params, stego, 0)
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")

@@ -19,12 +19,15 @@ experiment, and the RSSTEG01 keys of ``container`` (codeword i of a file
 hides under fork(seed, i)).  Here trial i draws its data, message, key and
 channel noise from the substreams fork(fork(master_seed, purpose), i), so
 identical master seeds give identical reports and any trial can be replayed
-on its own.  The config forks master_seed once per purpose, and
-``run_trial`` forks those roots once per trial.  The pool, the stego count,
-the stego budget (against the channel's worst case), the trial count and
-the master seed are checked once, when the config is built.  Trials are
-independent, so they could run concurrently; aggregation is ordered by
-trial index either way.
+on its own.  The data and the message are drawn with ``SplitMix64.draws``,
+the values of repeated ``below(q)`` in one pass; the key and the noise draw
+one value at a time, since how many they draw depends on what they draw.
+The config forks master_seed once per purpose, and ``run_trial`` forks
+those roots once per trial.  The pool, the stego count, the stego budget
+(against the channel's worst case), the trial count and the master seed
+are checked once, when the config is built.  Trials are independent, so
+they could run concurrently; aggregation is ordered by trial index either
+way.
 """
 
 from __future__ import annotations
@@ -55,7 +58,7 @@ class ExperimentConfig:
     pool: str = "parity"
 
     def __post_init__(self):
-        check_key_request(self.params, self.stego_count, self.pool)
+        check_key_request(self.params, self.stego_count, self.pool, "stego_count")
         worst = max_affected_symbols(self.channel, self.params.field.m)
         check_budget(self.params, self.stego_count, worst)
         if type(self.trials) is not int or self.trials < 1:
@@ -100,10 +103,8 @@ def run_trial(config: ExperimentConfig, trial_index: int) -> TrialRecord:
         fork(root, trial_index) for root in config._substream_roots
     )
 
-    data_rng = SplitMix64(data_seed)
-    msg_rng = SplitMix64(msg_seed)
-    data = [data_rng.below(q) for _ in range(params.k)]
-    message = [msg_rng.below(q) for _ in range(config.stego_count)]
+    data = SplitMix64(data_seed).draws(params.k, q)
+    message = SplitMix64(msg_seed).draws(config.stego_count, q)
     key = derive_positions(params, key_seed, config.stego_count, pool=config.pool)
 
     clean = encode(params, data)

@@ -51,9 +51,10 @@ def check_budget(params: CodeParams, stego_count: int, channel_symbols: int) -> 
         )
 
 
-def check_key_request(params: CodeParams, count: int, pool: str) -> int:
+def check_key_request(params: CodeParams, count: int, pool: str, name: str) -> int:
     """Raise unless pool is "parity" or "any" and count is an int (not a
-    bool) >= 0; return the number of positions in the pool."""
+    bool) >= 0, naming count as the caller's parameter ``name``; return the
+    number of positions in the pool."""
     if pool == "parity":
         size = params.n_parity
     elif pool == "any":
@@ -61,9 +62,9 @@ def check_key_request(params: CodeParams, count: int, pool: str) -> int:
     else:
         raise ValueError(f"pool must be 'parity' or 'any', got {pool!r}")
     if type(count) is not int:
-        raise ValueError(f"count must be an int, got {count!r}")
+        raise ValueError(f"{name} must be an int, got {count!r}")
     if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+        raise ValueError(f"{name} must be non-negative, got {count}")
     return size
 
 
@@ -95,7 +96,7 @@ def derive_positions(
     is the parity block by default ("parity") or the whole codeword
     ("any").
     """
-    size = check_key_request(params, count, pool)
+    size = check_key_request(params, count, pool, "count")
     # Both pools hold at least n - k >= t positions, so the draw terminates.
     check_budget(params, count, 0)
     rng = SplitMix64(seed)

@@ -681,14 +681,19 @@ def _extract_one(stego):
 
 
 @pytest.mark.parametrize("call, error, match", [
-    (lambda p: embed_container(p, bytes(64), b"", 0, -1), ValueError, "non-negative"),
-    (lambda p: _extract_one(-1), ValueError, "non-negative"),
+    (lambda p: embed_container(p, bytes(64), b"", 0, -1), ValueError,
+     "^stego must be non-negative, got -1$"),
+    (lambda p: _extract_one(-1), ValueError, "^stego must be non-negative, got -1$"),
+    (lambda p: embed_container(p, bytes(64), b"", 0, 2.0), ValueError,
+     r"^stego must be an int, got 2\.0$"),
+    (lambda p: _extract_one(2.0), ValueError, r"^stego must be an int, got 2\.0$"),
     (lambda p: embed_container(p, bytes(64), b"abc", 0, 0), ValueError, "positive"),
     (lambda p: _extract_one(0), ValueError, "positive"),
     (lambda p: embed_container(p, bytes(64), b"abc", 0, 7), BudgetExceededError, "t = 6"),
     (lambda p: _extract_one(7), BudgetExceededError, "t = 6"),
     (lambda p: _extract_one(2), CorruptHeaderError, "needs 7 codewords"),
 ], ids=["embed-negative-stego", "extract-negative-stego",
+        "embed-float-stego", "extract-float-stego",
         "embed-zero-stego-with-message", "extract-zero-stego-with-message",
         "embed-stego-above-t", "extract-stego-above-t", "message-beyond-the-payload"])
 def test_container_library_refuses_a_bad_stego_or_header(

@@ -41,10 +41,10 @@ def test_config_rejects_bad_pool_and_count(rs31):
     """Checked at construction, so even a zero-trial config cannot report."""
     with pytest.raises(ValueError, match="pool"):
         _single(rs31, pool="bogus", trials=0)
-    with pytest.raises(ValueError, match="non-negative"):
+    with pytest.raises(ValueError, match="^stego_count must be non-negative"):
         _single(rs31, stego_count=-1, trials=0)
     for count in (2.0, 2.5, True):
-        with pytest.raises(ValueError, match="must be an int"):
+        with pytest.raises(ValueError, match="^stego_count must be an int"):
             _single(rs31, stego_count=count, trials=0)
 
 

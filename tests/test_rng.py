@@ -3,15 +3,16 @@
 import pytest
 
 from rsstego import SplitMix64, fork, mix64
+from rsstego import rng as rng_module
 from rsstego.rng import GOLDEN
 
 
 def test_splitmix64_matches_the_reference_stream():
     """The first outputs of splitmix64.c (Vigna) seeded with 0."""
+    reference = [0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
     rng = SplitMix64(0)
-    assert [rng.next_u64() for _ in range(3)] == [
-        0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F
-    ]
+    assert [rng.next_u64() for _ in range(3)] == reference
+    assert SplitMix64(0).draws(3, 1 << 64) == reference
 
 
 @pytest.mark.parametrize("seed", [0, 1, 12345, GOLDEN, (1 << 64) - 1])
@@ -25,3 +26,37 @@ def test_stream_outputs_mix64_of_the_advanced_state(seed):
 def test_fork_is_mix64_of_the_counter(seed):
     for index in (0, 1, 2, 3, 1000):
         assert fork(seed, index) == mix64(seed + (index + 1) * GOLDEN)
+
+
+
+@pytest.mark.parametrize("bound", [1, 2, 32, 1 << 16, 1 << 64, (1 << 64) + 1, 1 << 65,
+                                   7, 31, 255, 1_000_003])
+def test_draws_equal_repeated_below(bound):
+    """The same values as ``count`` calls of ``below``, from a stream that
+    has already drawn, and the same state after."""
+    for count in (0, 1, 2, 19, 223):
+        packed, scalar = SplitMix64(12345), SplitMix64(12345)
+        packed.next_u64(), scalar.next_u64()
+        assert packed.draws(count, bound) == [scalar.below(bound) for _ in range(count)]
+        assert packed.next_u64() == scalar.next_u64()
+
+
+def test_lane_cache_is_bounded():
+    for count in range(3 * rng_module._LANE_CACHE_SIZE):
+        SplitMix64(count).draws(count, 8)
+    info = rng_module._lanes.cache_info()
+    assert type(info.maxsize) is int
+    assert info.currsize <= info.maxsize
+
+
+def test_draws_refuse_a_bad_bound_or_count():
+    rng = SplitMix64(0)
+    for bound in (0, -1):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            rng.draws(3, bound)
+        with pytest.raises(ValueError, match="bound must be positive"):
+            rng.below(bound)
+    for count in (-1, 2.0, True, None):
+        with pytest.raises(ValueError, match="count must be an int >= 0"):
+            rng.draws(count, 8)
+    assert rng.next_u64() == 0xE220A8397B1DCDAF   # nothing was drawn
