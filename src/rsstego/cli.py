@@ -9,12 +9,13 @@ machine-readable lines:
 
 ``embed`` and ``extract`` read and write files around
 ``container.embed_container`` and ``container.extract_container``, which
-own the RSSTEG01 payload rule and its checks.  This module keeps only the
-flags, the file reads and writes, ``_check_stego_sign`` (whose ``--stego``
-messages come before the library's own checks) and the exit status.
+own the RSSTEG01 payload rule and its checks, and ``simulate`` runs an
+``ExperimentConfig``, which checks its own fields.  This module keeps
+only the flags, the file reads and writes and the exit status; it prints
+the library's refusals word for word, as ``error: <message>``.
 
 Exit status: 0 on success, 1 when any codeword reports a decode failure,
-an input file is unusable or a flag's value is refused (such as
+an input file is unusable or the library refuses a flag's value (such as
 ``--trials 0``), 2 for bad flags (argparse).
 """
 
@@ -25,7 +26,7 @@ import sys
 from pathlib import Path
 
 from .channel import ChannelSpec
-from .container import embed_container, extract_container, unpack_container
+from .container import embed_container, extract_container
 from .galois import GF2m
 from .harness import ExperimentConfig, export_report, run_experiment
 from .rs import CodeParams
@@ -83,14 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
 # ----------------------------------------------------------------------
 # embed / extract
 # ----------------------------------------------------------------------
-def _check_stego_sign(stego: int, message_len: int = 0) -> None:
-    """Raise unless --stego is non-negative, and positive for a message."""
-    if stego < 0:
-        raise ValueError(f"--stego must be non-negative, got {stego}")
-    if stego == 0 and message_len:
-        raise ValueError("--stego must be positive to carry a non-empty message")
-
-
 def _code_params(args) -> CodeParams:
     """The geometry of --m, --n and --k; --n defaults to 2^m - 1."""
     field = GF2m(args.m)
@@ -102,7 +95,6 @@ def cmd_embed(args) -> int:
     params = _code_params(args)
     data = Path(args.data).read_bytes()
     message = Path(args.message).read_bytes()
-    _check_stego_sign(args.stego, len(message))
     blob, count, residual = embed_container(params, data, message, args.seed, args.stego)
     Path(args.out).write_bytes(blob)
     print(f"codewords={count}")
@@ -111,9 +103,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_extract(args) -> int:
-    cont = unpack_container(Path(args.container).read_bytes())
-    _check_stego_sign(args.stego, cont.message_len)
-    data, message, failure = extract_container(cont, args.stego, args.seed)
+    blob = Path(args.container).read_bytes()
+    data, message, failure = extract_container(blob, args.stego, args.seed)
     Path(args.out_data).write_bytes(data)
     Path(args.out_message).write_bytes(message)
     if failure:
@@ -126,10 +117,7 @@ def cmd_extract(args) -> int:
 # simulate
 # ----------------------------------------------------------------------
 def cmd_simulate(args) -> int:
-    if args.trials <= 0:
-        raise ValueError(f"--trials must be positive, got {args.trials}")
     params = _code_params(args)
-    _check_stego_sign(args.stego)   # ExperimentConfig checks the budget, channel included
     config = ExperimentConfig(
         params=params,
         stego_count=args.stego,

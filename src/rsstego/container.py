@@ -20,9 +20,11 @@ length field, so recovered carrier data is zero-padded to the codeword
 grid; the message is byte-exact via its length field.
 
 ``embed_container`` and ``extract_container`` are the one home of the
-payload rule, which lays carrier and message over that grid.  Carrier and
-message bytes are each read as one MSB-first stream of m-bit symbols, the
-last one zero-padded.  With s message symbols per codeword:
+payload rule, which lays carrier and message over that grid.  Both take
+and give bytes: ``extract_container`` reads the header itself, so every
+word it decodes comes from ``unpack_container``.  Carrier and message
+bytes are each read as one MSB-first stream of m-bit symbols, the last one
+zero-padded.  With s message symbols per codeword:
 
 * the codeword count is max(ceil(data symbols / k), ceil(message symbols /
   s)), and 0 message symbols need 0 codewords;
@@ -62,7 +64,7 @@ from itertools import islice
 from .galois import GF2m
 from .rng import fork
 from .rs import CodeParams, Codeword, encode
-from .stego import check_budget, check_key_request, derive_positions, embed, extract
+from .stego import check_key_request, derive_positions, embed, extract
 
 MAGIC = b"RSSTEG01"
 _HEADER = struct.Struct(">8sBHHIQ")
@@ -223,7 +225,6 @@ def _message_codewords(params: CodeParams, stego: int, seed: int, symbols: int) 
     [0, t], positive for a message, and seed an int (bools are refused);
     return the number of codewords that many message symbols need."""
     check_key_request(params, stego, "parity", "stego")
-    check_budget(params, stego, 0)
     if type(seed) is not int:
         raise ValueError(f"seed must be an int, got {seed!r}")
     if stego == 0 and symbols:
@@ -261,14 +262,16 @@ def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
     return blob, count, count * stego - len(msg_syms)
 
 
-def extract_container(container: Container, stego: int,
+def extract_container(blob: bytes, stego: int,
                       seed: int | None = None) -> tuple[bytes, bytes, bool]:
     """The carrier (zero-padded to the codeword grid), the message, and
-    whether any codeword failed to decode, from a container that
-    ``unpack_container`` returned; ``seed`` defaults to the header's.  The
-    stego checks of ``embed_container`` apply, and a message that needs
-    more codewords than the container holds raises ``CorruptHeaderError``.
+    whether any codeword failed to decode, from the RSSTEG01 bytes
+    ``blob``; ``seed`` defaults to the header's.  A bad container raises
+    ``BadMagicError`` or ``CorruptHeaderError`` (the latter also for a
+    message that needs more codewords than the payload holds), and a
+    refused stego or seed the errors of ``embed_container``.
     """
+    container = unpack_container(blob)
     m = container.m
     params = CodeParams(field=GF2m(m), n=container.n, k=container.k)
     seed = container.seed if seed is None else seed
@@ -280,7 +283,7 @@ def extract_container(container: Container, stego: int,
     data_syms, msg_syms, failure = [], [], False
     received = iter(container.symbols)
     for key in _keys(params, seed, stego, msg_count, container.num_codewords):
-        # unpack_container checked n = 2^m - 1 and yields m-bit symbols.
+        # unpack_container yields m-bit symbols, so a word needs no check.
         word = Codeword._of(params, list(islice(received, params.n)))
         result = extract(word, key, params)
         data_syms.extend(result.data)

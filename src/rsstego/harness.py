@@ -40,7 +40,7 @@ from pathlib import Path
 from .channel import ChannelSpec, apply_noise, max_affected_symbols
 from .rng import SplitMix64, fork
 from .rs import CodeParams, encode
-from .stego import check_budget, check_key_request, derive_positions, embed, extract
+from .stego import check_key_request, derive_positions, embed, extract
 
 # substream purpose tags
 _DATA, _MESSAGE, _KEY, _CHANNEL = 0, 1, 2, 3
@@ -58,9 +58,8 @@ class ExperimentConfig:
     pool: str = "parity"
 
     def __post_init__(self):
-        check_key_request(self.params, self.stego_count, self.pool, "stego_count")
-        worst = max_affected_symbols(self.channel, self.params.field.m)
-        check_budget(self.params, self.stego_count, worst)
+        check_key_request(self.params, self.stego_count, self.pool, "stego_count",
+                          max_affected_symbols(self.channel, self.params.field.m))
         if type(self.trials) is not int or self.trials < 1:
             raise ValueError(f"trials must be an int >= 1, got {self.trials!r}")
         if type(self.master_seed) is not int:

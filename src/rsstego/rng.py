@@ -22,11 +22,13 @@ stream seeded with s depends on s + i * GOLDEN alone, so
 state t in one pass over a big int (SIMD within a register, Warren's
 *Hacker's Delight*): the j-th of them, j = 1 .. count, sits in lane j - 1,
 128 bits wide, which starts as t + j * GOLDEN.  There is one finalizer,
-``_finalize``, which masks every lane to its low 64 bits before each
-multiply and at the end; 64 bits of headroom keep a 64 x 64-bit product
-inside its lane.  ``mix64`` is its one-lane case.  The lanes are then read
-back as ``below`` would reduce them, so ``draws`` returns exactly the
-values of ``count`` calls of ``below`` and leaves the same state.
+``_finalize``.  It takes lanes that already hold 64-bit values and masks
+every lane to its low 64 bits before each multiply and at the end; 64 bits
+of headroom keep a 64 x 64-bit product inside its lane.  ``mix64``,
+``fork`` and ``next_u64`` are its one-lane case, on values they mask
+themselves.  The lanes are then read back as ``below`` would reduce them,
+so ``draws`` returns exactly the values of ``count`` calls of ``below``
+and leaves the same state.
 """
 
 from __future__ import annotations
@@ -40,8 +42,8 @@ GOLDEN = 0x9E3779B97F4A7C15
 
 
 def _finalize(z: int, mask: int) -> int:
-    """The SplitMix64 finalizer on every 64-bit lane of z that mask keeps."""
-    z &= mask
+    """The SplitMix64 finalizer on every lane of z that mask keeps; each
+    lane must already hold a value below 2^64."""
     z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
     z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
     return (z ^ (z >> 31)) & mask
@@ -49,12 +51,12 @@ def _finalize(z: int, mask: int) -> int:
 
 def mix64(z: int) -> int:
     """SplitMix64 finalizer: avalanche one 64-bit word."""
-    return _finalize(z, MASK64)
+    return _finalize(z & MASK64, MASK64)
 
 
 def fork(seed: int, index: int) -> int:
     """Seed for the index-th substream of ``seed`` (counter-based split)."""
-    return mix64((seed + (index + 1) * GOLDEN) & MASK64)
+    return _finalize((seed + (index + 1) * GOLDEN) & MASK64, MASK64)
 
 
 # A trial draws its data and its message, two counts per geometry; eight
@@ -84,7 +86,7 @@ class SplitMix64:
 
     def next_u64(self) -> int:
         self._state = (self._state + GOLDEN) & MASK64
-        return mix64(self._state)
+        return _finalize(self._state, MASK64)
 
     def below(self, bound: int) -> int:
         """Uniform draw in [0, bound)."""
@@ -100,7 +102,8 @@ class SplitMix64:
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
         ones, ramp, mask = _lanes(count)
-        z = _finalize(self._state * ones + ramp, mask)
+        # state * ones + ramp can carry past bit 64 of a lane.
+        z = _finalize((self._state * ones + ramp) & mask, mask)
         self._state = (self._state + count * GOLDEN) & MASK64
         power_of_two = bound & (bound - 1) == 0 and bound <= 1 << 64
         if power_of_two:

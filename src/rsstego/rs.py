@@ -225,10 +225,9 @@ class Codeword:
     ``decode`` and ``syndromes`` use a ``Codeword`` of their own geometry as
     it is, and the words the library computes from checked symbols
     (``encode``, and ``_xor`` for ``embed``, ``apply_noise`` and ``decode``)
-    are built without a second check, as are the words
-    ``container.extract_container`` reads from an ``RSSTEG01`` container,
-    whose symbols are m-bit fields by construction.  Mutating ``symbols``
-    afterwards is unsupported.
+    are built without a second check, as are the words that
+    ``container.extract_container`` unpacks from ``RSSTEG01`` bytes.
+    Mutating ``symbols`` afterwards is unsupported.
     """
 
     __slots__ = ("params", "symbols")

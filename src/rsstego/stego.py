@@ -9,13 +9,15 @@ corrupts that message symbol) and decodes the rest normally.
 
 ``check_budget`` is the one check of that invariant: keys and embeddings
 refuse more than t substitutions, and an experiment also reserves its
-channel's worst case.  ``check_key`` is the one check of a key against a
-geometry, run by ``embed`` and ``extract`` alike.
+channel's worst case.  ``check_key_request`` runs it last, for every key
+that is asked for.  ``check_key`` runs it for a key that comes from
+outside; it is the one check of a key against a geometry, run by
+``embed`` and ``extract`` alike.
 
 By default positions are drawn from the parity block only, keeping the
 visible data symbols untouched; pass pool="any" to allow every position.
-``check_key_request`` validates the pool and the position count, for a key
-and for an experiment config alike.
+``check_key_request`` validates the pool, the position count and its
+budget, for a key, an ``RSSTEG01`` payload and an experiment config alike.
 Position selection is a pure function of (seed, geometry, count) via
 SplitMix64, so both endpoints derive the same key from a shared seed.
 """
@@ -51,9 +53,11 @@ def check_budget(params: CodeParams, stego_count: int, channel_symbols: int) -> 
         )
 
 
-def check_key_request(params: CodeParams, count: int, pool: str, name: str) -> int:
-    """Raise unless pool is "parity" or "any" and count is an int (not a
-    bool) >= 0, naming count as the caller's parameter ``name``; return the
+def check_key_request(params: CodeParams, count: int, pool: str, name: str,
+                      channel_symbols: int = 0) -> int:
+    """Raise unless pool is "parity" or "any", count is an int (not a
+    bool) >= 0, named as the caller's parameter ``name``, and count plus
+    ``channel_symbols`` stays within t (``check_budget``); return the
     number of positions in the pool."""
     if pool == "parity":
         size = params.n_parity
@@ -65,6 +69,7 @@ def check_key_request(params: CodeParams, count: int, pool: str, name: str) -> i
         raise ValueError(f"{name} must be an int, got {count!r}")
     if count < 0:
         raise ValueError(f"{name} must be non-negative, got {count}")
+    check_budget(params, count, channel_symbols)
     return size
 
 
@@ -97,8 +102,8 @@ def derive_positions(
     ("any").
     """
     size = check_key_request(params, count, pool, "count")
-    # Both pools hold at least n - k >= t positions, so the draw terminates.
-    check_budget(params, count, 0)
+    # Both pools hold at least n - k >= t >= count positions, so the draw
+    # terminates.
     rng = SplitMix64(seed)
     positions: list[int] = []
     seen = set()

@@ -159,6 +159,17 @@ def test_wide_burst_can_flip_every_window_bit():
     assert flipped == set(range(80))
 
 
+def test_burst_wider_than_the_codeword_is_refused(rs31, word31):
+    """A burst of n*m bits covers the whole codeword from offset 0; one bit
+    more raises."""
+    total = rs31.n * rs31.field.m   # 155 at RS(31,19)
+    with pytest.raises(ValueError, match="^burst of 156 bits exceeds the 155-bit codeword$"):
+        apply_noise(word31, ChannelSpec(mode="burst", burst_bits=total + 1), 0)
+    noisy, event = apply_noise(word31, ChannelSpec(mode="burst", burst_bits=total), 0)
+    assert event.bit_offset == 0
+    assert noisy != word31
+
+
 @pytest.mark.parametrize(
     "mode,bits,expected",
     [

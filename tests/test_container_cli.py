@@ -251,7 +251,7 @@ def test_cli_embed_reports_capacity(workdir, capsys):
 def test_cli_extract_rejects_zero_stego_for_a_message(workdir, capsys):
     rc, _ = _embed_extract(workdir, extract_args=["--stego", "0"])
     assert rc == 1
-    assert capsys.readouterr().err.startswith("error: --stego must be positive")
+    assert capsys.readouterr().err.startswith("error: stego must be positive")
     assert not (workdir / "msg.out").exists()
 
 
@@ -265,7 +265,7 @@ def test_cli_embed_rejects_negative_stego(workdir, capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --stego must be non-negative, got -1\n"
+    assert captured.err == "error: stego must be non-negative, got -1\n"
     assert not (workdir / "out.rss").exists()
 
 
@@ -274,7 +274,7 @@ def test_cli_simulate_rejects_negative_stego(capsys):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: --stego must be non-negative, got -1\n"
+    assert captured.err == "error: stego_count must be non-negative, got -1\n"
 
 
 @pytest.mark.parametrize("carrier", [b"", bytes(range(64))], ids=["empty", "64-bytes"])
@@ -284,7 +284,7 @@ def test_cli_extract_rejects_negative_stego(workdir, capsys, carrier):
     (workdir / "secret.bin").write_bytes(b"")
     rc, _ = _embed_extract(workdir, extract_args=["--stego", "-1"])
     assert rc == 1
-    assert capsys.readouterr().err == "error: --stego must be non-negative, got -1\n"
+    assert capsys.readouterr().err == "error: stego must be non-negative, got -1\n"
     assert not (workdir / "data.out").exists()
 
 
@@ -479,7 +479,7 @@ def test_cli_simulate_refuses_no_trials(tmp_path, capsys, trials):
     assert rc == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --trials must be positive, got {trials}\n"
+    assert captured.err == f"error: trials must be an int >= 1, got {trials}\n"
     assert not (tmp_path / "r").exists()
 
 
@@ -592,7 +592,7 @@ def test_cli_container_bytes_match_the_payload_rule(
     params = CodeParams(GF2m(m), (1 << m) - 1, k)
     library = embed_container(params, data, message, seed, stego)
     assert library == (blob, codewords, residual)
-    assert extract_container(unpack_container(blob), stego) == (recovered, message, False)
+    assert extract_container(blob, stego) == (recovered, message, False)
     assert len(recovered) == codewords * k * m // 8
 
 
@@ -650,8 +650,8 @@ def test_unpack_container_raises_only_documented_errors(workdir, capsys):
 
 
 def test_cli_extract_never_raises_on_malformed_containers(workdir, capsys):
-    """Neither rsstego extract nor extract_container, on any container that
-    unpack_container accepts, raises anything but a ValueError."""
+    """Neither rsstego extract nor extract_container, on any malformed
+    container bytes, raises anything but a ValueError."""
     container = workdir / "fuzz.rss"
     for blob in _fuzz_blobs(workdir, 200, seed=2):
         container.write_bytes(blob)
@@ -662,11 +662,7 @@ def test_cli_extract_never_raises_on_malformed_containers(workdir, capsys):
         ])
         assert rc in (0, 1)
         try:
-            cont = unpack_container(blob)
-        except (BadMagicError, CorruptHeaderError):
-            continue
-        try:
-            extract_container(cont, 2)
+            extract_container(blob, 2)
         except ValueError:
             pass
 
@@ -676,8 +672,8 @@ def test_cli_extract_never_raises_on_malformed_containers(workdir, capsys):
 _ONE_CODEWORD = pack_container(5, 31, 19, 8, 0, [0] * 31)
 
 
-def _extract_one(stego):
-    return extract_container(unpack_container(_ONE_CODEWORD), stego)
+def _extract_one(stego, seed=None):
+    return extract_container(_ONE_CODEWORD, stego, seed)
 
 
 @pytest.mark.parametrize("call, error, match", [
@@ -691,11 +687,19 @@ def _extract_one(stego):
     (lambda p: _extract_one(0), ValueError, "positive"),
     (lambda p: embed_container(p, bytes(64), b"abc", 0, 7), BudgetExceededError, "t = 6"),
     (lambda p: _extract_one(7), BudgetExceededError, "t = 6"),
+    (lambda p: embed_container(p, bytes(64), b"abc", 1.5, 2), ValueError,
+     r"^seed must be an int, got 1\.5$"),
+    (lambda p: _extract_one(2, 1.5), ValueError, r"^seed must be an int, got 1\.5$"),
+    (lambda p: embed_container(p, bytes(64), b"abc", True, 2), ValueError,
+     "^seed must be an int, got True$"),
+    (lambda p: _extract_one(2, True), ValueError, "^seed must be an int, got True$"),
     (lambda p: _extract_one(2), CorruptHeaderError, "needs 7 codewords"),
 ], ids=["embed-negative-stego", "extract-negative-stego",
         "embed-float-stego", "extract-float-stego",
         "embed-zero-stego-with-message", "extract-zero-stego-with-message",
-        "embed-stego-above-t", "extract-stego-above-t", "message-beyond-the-payload"])
+        "embed-stego-above-t", "extract-stego-above-t",
+        "embed-float-seed", "extract-float-seed", "embed-bool-seed", "extract-bool-seed",
+        "message-beyond-the-payload"])
 def test_container_library_refuses_a_bad_stego_or_header(
     rs31, monkeypatch, call, error, match
 ):

@@ -1,8 +1,9 @@
 """Property tests (hypothesis): the encoder and syndromes against the
 direct oracles, the decoder against the brute-force oracle, the container
-packers against the bit loop, and ``unpack_container`` on arbitrary
-headers and payloads."""
+packers against the bit loop, and ``unpack_container`` and
+``extract_container`` on arbitrary headers and payloads."""
 
+import re
 import struct
 
 import pytest
@@ -17,6 +18,7 @@ from rsstego import (
     GF2m,
     decode,
     encode,
+    extract_container,
     syndromes,
     unpack_container,
 )
@@ -135,11 +137,16 @@ def container_blobs(draw):
     n = draw(mostly(st.just(((1 << m) - 1) & 0xFFFF), st.integers(0, 0xFFFF)))
     # k = n - d with small d often drawn: the edge k = n - 2 of t >= 1.
     k = draw(mostly(st.integers(0, n).map(lambda d: n - d), st.integers(0, 0xFFFF)))
-    message_len = draw(st.integers(0, (1 << 32) - 1))
+    # A short message fits the payload often enough to reach the decoder.
+    message_len = draw(mostly(st.integers(0, 2), st.integers(0, (1 << 32) - 1)))
     seed = draw(st.integers(0, (1 << 64) - 1))
     # The documented layout: magic, m, n, k, message length, seed, payload.
     header = struct.pack(">8sBHHIQ", magic, m, n, k, message_len, seed)
-    size = draw(st.integers(0, 300))   # whole codewords up to m = 8
+    size = st.integers(0, 300)   # up to one whole codeword at m = 8
+    if 3 <= m <= 8 and n == (1 << m) - 1:
+        # Whole codewords, so that the decoder runs on most accepted headers.
+        size = mostly(st.integers(0, 3).map(lambda c: -(-c * n * m // 8)), size)
+    size = draw(size)
     blob = header + draw(st.binary(min_size=size, max_size=size))
     return blob[:draw(mostly(st.none(), st.integers(0, len(blob))))]
 
@@ -148,13 +155,27 @@ def container_blobs(draw):
 @given(container_blobs())
 def test_unpack_container_fuzz_keeps_the_extract_invariants(blob):
     """Any bytes raise only the two header errors, or give a container that
-    ``rsstego extract`` can use as it is: a valid geometry, whole codewords
-    and m-bit symbols."""
+    ``extract_container`` can use as it is: a valid geometry, whole
+    codewords and m-bit symbols.  The whole extract at stego = 1, which the
+    t >= 1 of every accepted header allows, raises the same error for bytes
+    the header check refuses; otherwise it returns the carrier, the message
+    and a bool, or refuses a message longer than the payload."""
     try:
         cont = unpack_container(blob)
-    except (BadMagicError, CorruptHeaderError):
+    except (BadMagicError, CorruptHeaderError) as exc:
+        with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+            extract_container(blob, 1)
         return
     assert cont.n == (1 << cont.m) - 1
-    CodeParams(GF2m(cont.m), cont.n, cont.k)   # rsstego extract builds it
+    CodeParams(GF2m(cont.m), cont.n, cont.k)   # extract_container builds it
     assert len(cont.symbols) % cont.n == 0
     assert all(0 <= s < 1 << cont.m for s in cont.symbols)
+    try:
+        carrier, message, failure = extract_container(blob, 1)
+    except CorruptHeaderError as exc:
+        assert str(exc).startswith("message needs ")
+        return
+    assert type(failure) is bool
+    assert type(message) is bytes and len(message) == cont.message_len
+    assert type(carrier) is bytes
+    assert len(carrier) == cont.num_codewords * cont.k * cont.m // 8
