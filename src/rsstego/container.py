@@ -31,17 +31,27 @@ zero-padded.  With s message symbols per codeword:
 * the carrier symbols are zero-padded to count * k, and codeword i is
   ``encode(params, data[i*k:(i+1)*k])``;
 * codeword i hides the next min(s, remaining) message symbols, in order,
-  at ``derive_positions(params, fork(seed, i), count)`` (``_keys``);
-  codewords past the end of the message hide nothing.
+  at ``derive_positions(params, fork(seed, i), count)``; codewords past
+  the end of the message hide nothing.
 
-Both ends check s and the key seed before any codeword is touched
+That key rule is fixed.  ``_keys`` computes it in packed blocks of up to
+``_KEY_BLOCK`` codewords, with the same values: a block's forks are one
+run of ``SplitMix64(seed)`` draws, the first s draws of its full keys one
+many-stream pass (``rng._draws``), and ``derive_positions`` runs for a
+key whose first draws repeat a position, for the one partly filled key,
+and for every key when s^2 > n - k, where most keys repeat one.  A
+codeword past the message gets the empty key with no draw.
+
+Both ends check s and the key seed before any codeword is touched, and
+``embed_container`` before it converts the carrier
 (``_message_codewords``): s is an int in [0, t], positive for a non-empty
 message, and the seed an int.  Extraction also refuses, with
 ``CorruptHeaderError``, a message length that needs more codewords than
 the payload holds.  ``pack_container`` and ``unpack_container`` are the
 header alone.  ``rng.fork`` is the one seed derivation, and the RSSTEG01
 keys above are one of its two fixed schemes (the experiment's, in
-``harness``, is the other).
+``harness``, is the other); fork(seed, i) is draw i + 1 of
+``SplitMix64(seed)``, which is how ``_keys`` reads it.
 
 One algorithm packs every width.  Each symbol gets a byte lane of w = 8
 bits (m <= 8) or w = 16 bits (m > 8), converted to and from bytes in one
@@ -62,11 +72,16 @@ from dataclasses import dataclass
 from itertools import islice
 
 from .galois import GF2m
-from .rng import fork
+from .rng import GOLDEN, SplitMix64, _draws
 from .rs import CodeParams, Codeword, encode
-from .stego import check_key_request, derive_positions, embed, extract
+from .stego import StegoKey, check_key_request, derive_positions, embed, extract
 
 MAGIC = b"RSSTEG01"
+# Codewords per block of keys in ``_keys``.  A multiple of 8, so that the
+# carrier, message and payload of a block's codewords are whole bytes at
+# every m, and a pass over a block's keys stays bounded in memory.
+_KEY_BLOCK = 1024
+_NO_KEY = StegoKey(())
 _HEADER = struct.Struct(">8sBHHIQ")
 HEADER_SIZE = _HEADER.size
 
@@ -234,10 +249,40 @@ def _message_codewords(params: CodeParams, stego: int, seed: int, symbols: int) 
 
 def _keys(params: CodeParams, seed: int, stego: int, symbols: int, codewords: int):
     """Codeword i's key, for i < codewords: where it hides the next
-    min(stego, remaining) of the message's ``symbols`` symbols."""
-    for i in range(codewords):
-        count = min(stego, max(0, symbols - i * stego))
-        yield derive_positions(params, fork(seed, i), count)
+    min(stego, remaining) of the message's ``symbols`` symbols, which is
+    ``derive_positions(params, fork(seed, i), count)``.
+
+    The keys come in blocks of at most ``_KEY_BLOCK`` codewords.  A block's
+    forks are one stream's draws, since fork(seed, i) is draw i + 1 of
+    ``SplitMix64(seed)``.  The first ``stego`` draws of every key that
+    hides ``stego`` symbols are one many-stream pass, and a key whose
+    first draws are distinct is those draws.  That pass runs only when
+    stego^2 <= n - k: stego draws from n - k positions repeat one with
+    probability below stego^2 / 2(n - k), so at least half the keys are
+    expected to come straight from it, and a pass holds at most
+    ``_KEY_BLOCK`` * sqrt(n - k) lanes.  Every other carrying key, a key
+    with a repeated draw and the one partly filled key among them, comes
+    from ``derive_positions``.  Codewords past the message get the empty
+    key, with no fork and no draw."""
+    size = params.n_parity
+    carrying = min(codewords, -(-symbols // stego) if symbols else 0)
+    packed = symbols // stego if symbols and stego * stego <= size else 0
+    for start in range(0, carrying, _KEY_BLOCK):
+        forks = SplitMix64(seed + start * GOLDEN).draws(
+            min(_KEY_BLOCK, carrying - start), 1 << 64)
+        whole = forks[:max(0, packed - start)]
+        draws = iter(_draws(whole, stego, size))
+        # zip(*[draws] * stego) reads the draws stego at a time: one key each.
+        for key_seed, positions in zip(whole, zip(*[draws] * stego)):
+            if len(set(positions)) == stego:
+                yield StegoKey(positions)
+            else:
+                yield derive_positions(params, key_seed, stego)
+        for i in range(len(whole), len(forks)):
+            count = min(stego, symbols - (start + i) * stego)
+            yield derive_positions(params, forks[i], count)
+    for _ in range(carrying, codewords):
+        yield _NO_KEY
 
 
 def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
@@ -246,13 +291,13 @@ def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
     rule, ``stego`` symbols per codeword under the key ``seed``, with the
     codeword count and the residual capacity (message symbols the grid
     could still take).  A refused stego or seed raises ``ValueError``
-    (``BudgetExceededError`` for a stego above t) before any codeword is
-    encoded."""
+    (``BudgetExceededError`` for a stego above t) before the carrier is
+    converted."""
     m, k = params.field.m, params.k
+    needed = _message_codewords(params, stego, seed, -(-len(message) * 8 // m))
     data_syms = bytes_to_symbols(data, m)
     msg_syms = bytes_to_symbols(message, m)
-    count = max(-(-len(data_syms) // k),
-                _message_codewords(params, stego, seed, len(msg_syms)))
+    count = max(-(-len(data_syms) // k), needed)
     data_syms += [0] * (count * k - len(data_syms))
     payload: list[int] = []
     for i, key in enumerate(_keys(params, seed, stego, len(msg_syms), count)):

@@ -29,13 +29,26 @@ of headroom keep a 64 x 64-bit product inside its lane.  ``mix64``,
 themselves.  The lanes are then read back as ``below`` would reduce them,
 so ``draws`` returns exactly the values of ``count`` calls of ``below``
 and leaves the same state.
+
+``_draws(states, count, bound)`` is the many-stream form, and ``draws``
+its one-state case: for each state s it gives the ``count`` values that
+``SplitMix64(s).below(bound)`` would return, in one ``_finalize`` pass
+over ``len(states) * count`` lanes.  Lane i * count + j, for draw j + 1
+of stream i, starts as s_i + (j + 1) * GOLDEN: each state is copied into
+its ``count`` lanes by strided writes to a word array, and the ramp and
+masks are the one-stream ones, repeated.  Both read the lanes back with
+the one cached ``struct`` record of ``count`` lanes, once per stream.
+The RSSTEG01 keys in ``container`` take their forks from one stream and
+their positions from many.
 """
 
 from __future__ import annotations
 
+import struct
 import sys
 from array import array
 from functools import lru_cache
+from itertools import chain
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -59,21 +72,59 @@ def fork(seed: int, index: int) -> int:
     return _finalize((seed + (index + 1) * GOLDEN) & MASK64, MASK64)
 
 
-# A trial draws its data and its message, two counts per geometry; eight
-# keeps a few geometries warm.  At RS(255,223) the entry for 223 draws
-# holds three 3.5 KB ints.
+# A trial draws its data and its message, two counts per geometry, and an
+# RSSTEG01 file its forks and its key size; eight keeps a few geometries
+# warm.  At RS(255,223) the entry for 223 draws holds three 3.5 KB ints.
 _LANE_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=_LANE_CACHE_SIZE)
-def _lanes(count: int) -> tuple[int, int, int]:
-    """(ones, ramp, mask) for count 128-bit lanes: lane j holds 1, the
-    64-bit value (j + 1) * GOLDEN and 2^64 - 1 respectively."""
+def _lanes(count: int) -> tuple[int, int, int, struct.Struct]:
+    """(ones, ramp, mask, record) for count 128-bit lanes: lane j holds 1,
+    the 64-bit value (j + 1) * GOLDEN and 2^64 - 1 respectively, and
+    ``record`` reads the low 64 bits of every lane from little-endian
+    bytes."""
     ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * count, "little")
     ramp = int.from_bytes(b"".join(
         ((j * GOLDEN) & MASK64).to_bytes(16, "little") for j in range(1, count + 1)
     ), "little")
-    return ones, ramp, ones * MASK64
+    return ones, ramp, ones * MASK64, struct.Struct("<" + "Q8x" * count)
+
+
+def _repeat(lanes: int, count: int, times: int) -> int:
+    """``times`` copies of the count 128-bit lanes of ``lanes``, end to end."""
+    return int.from_bytes(lanes.to_bytes(16 * count, "little") * times, "little")
+
+
+def _draws(states, count: int, bound: int) -> list[int]:
+    """For each state s of ``states``, in order, the ``count`` values of
+    ``[SplitMix64(s).below(bound) for _ in range(count)]``, concatenated.
+    Every state must lie in [0, 2^64); count and bound are not checked."""
+    ones, ramp, mask, record = _lanes(count)
+    streams = len(states)
+    if streams == 1:
+        spread = states[0] * ones
+    elif not count:
+        return []
+    else:
+        ones, ramp, mask = (_repeat(x, count, streams) for x in (ones, ramp, mask))
+        # Stream i's state in each of its lanes i * count .. i * count + count - 1.
+        words = array("Q", bytes(16 * count * streams))
+        column = array("Q", states)
+        for j in range(0, 2 * count, 2):
+            words[j::2 * count] = column
+        if sys.byteorder == "big":
+            words.byteswap()
+        spread = int.from_bytes(words, "little")
+    # A state plus the ramp can carry past bit 64 of a lane.
+    z = _finalize((spread + ramp) & mask, mask)
+    power_of_two = bound & (bound - 1) == 0 and bound <= 1 << 64
+    if power_of_two:
+        z &= ones * (bound - 1)
+    raw = z.to_bytes(16 * count * streams, "little")
+    values = list(record.unpack(raw) if streams == 1
+                  else chain.from_iterable(record.iter_unpack(raw)))
+    return values if power_of_two else [v % bound for v in values]
 
 
 class SplitMix64:
@@ -101,15 +152,6 @@ class SplitMix64:
             raise ValueError(f"count must be an int >= 0, got {count!r}")
         if bound <= 0:
             raise ValueError(f"bound must be positive, got {bound}")
-        ones, ramp, mask = _lanes(count)
-        # state * ones + ramp can carry past bit 64 of a lane.
-        z = _finalize((self._state * ones + ramp) & mask, mask)
+        values = _draws((self._state,), count, bound)
         self._state = (self._state + count * GOLDEN) & MASK64
-        power_of_two = bound & (bound - 1) == 0 and bound <= 1 << 64
-        if power_of_two:
-            z &= ones * (bound - 1)
-        lanes = array("Q", z.to_bytes(16 * count, "little"))
-        if sys.byteorder == "big":
-            lanes.byteswap()
-        values = lanes[0::2].tolist()
-        return values if power_of_two else [v % bound for v in values]
+        return values

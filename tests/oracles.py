@@ -381,13 +381,22 @@ def rssteg01_container(data, message, m, k, stego, seed):
     if remaining:
         count = max(count, -(-len(remaining) // stego))
     data_symbols += [0] * (count * k - len(data_symbols))
+    keys = rssteg01_keys(params, seed, stego, len(remaining), count)
     payload = []
-    for i in range(count):
+    for i, key in enumerate(keys):
         hidden, remaining = remaining[:stego], remaining[stego:]
         clean = encode(params, data_symbols[i * k:(i + 1) * k])
-        key = derive_positions(params, fork(seed, i), len(hidden))
         payload += embed(clean, key, hidden).symbols
     return pack_container(m, params.n, k, len(message), seed, payload)
+
+
+def rssteg01_keys(params, seed, stego, symbols, codewords):
+    """The README's key of each of ``codewords`` codewords, one scalar
+    ``derive_positions`` call each: codeword i hides the next min(stego,
+    remaining) of ``symbols`` message symbols at derive_positions(params,
+    fork(seed, i), count)."""
+    return [derive_positions(params, fork(seed, i), min(stego, max(0, symbols - i * stego)))
+            for i in range(codewords)]
 
 
 # ----------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import random
 import struct
+import tracemalloc
 
 import pytest
 
@@ -12,6 +13,7 @@ from rsstego import (
     CorruptHeaderError,
     GF2m,
     MessageTooLargeError,
+    SplitMix64,
     embed_container,
     extract_container,
     pack_container,
@@ -32,6 +34,7 @@ from oracles import (
     bitloop_pack_symbols,
     bitloop_unpack_symbols,
     rssteg01_container,
+    rssteg01_keys,
 )
 
 
@@ -542,6 +545,8 @@ _PIN_CASES = [
     (8, 223, 446, 3, 2, "message-ends-mid-codeword"),
     (8, 223, 10, 9, 2, "more-codewords-than-carrier"),
     (8, 223, 500, 40, 16, "carrier-off-grid"),
+    (3, 3, 1200, 31, 2, "multi-block"),
+    (5, 19, 12350, 301, 3, "multi-block"),
 ]
 
 
@@ -565,6 +570,7 @@ def test_cli_container_bytes_match_the_payload_rule(
         and message_codewords <= carrier_codewords,
         "more-codewords-than-carrier": message_codewords > carrier_codewords,
         "carrier-off-grid": data_symbols % k != 0,
+        "multi-block": carrier_codewords > container_module._KEY_BLOCK > message_codewords,
     }[case]
     rnd = random.Random(f"{m}-{case}")
     data, message = rnd.randbytes(data_len), rnd.randbytes(message_len)
@@ -714,3 +720,119 @@ def test_container_library_refuses_a_bad_stego_or_header(
     monkeypatch.setattr(container_module, "extract", no_codeword)
     with pytest.raises(error, match=match):
         call(rs31)
+
+
+@pytest.mark.parametrize("stego, seed", [(-1, 0), (7, 0), (2.0, 0), (2, 1.5)],
+                         ids=["negative-stego", "stego-above-t", "float-stego", "float-seed"])
+def test_embed_container_refuses_before_converting_the_carrier(rs31, monkeypatch, stego, seed):
+    """A refused stego or seed costs no carrier conversion: the check runs
+    on the message's symbol count alone."""
+    converted = []
+
+    def spy(data, m):
+        converted.append(data)
+        return bytes_to_symbols(data, m)
+
+    monkeypatch.setattr(container_module, "bytes_to_symbols", spy)
+    carrier = bytes(range(64))
+    with pytest.raises(ValueError):
+        embed_container(rs31, carrier, b"abc", seed, stego)
+    assert carrier not in converted
+
+
+# ----------------------------------------------------------------------
+# the packed keys against the scalar rule
+# ----------------------------------------------------------------------
+@pytest.fixture()
+def key_calls(monkeypatch):
+    """The (seed, count) of every derive_positions call _keys makes, and
+    the count of every SplitMix64.draws call it makes for its forks."""
+    calls = {"derive": [], "forks": []}
+    derive = container_module.derive_positions
+
+    def spy_derive(params, seed, count):
+        calls["derive"].append((seed, count))
+        return derive(params, seed, count)
+
+    class SpyStream(SplitMix64):
+        __slots__ = ()
+
+        def draws(self, count, bound):
+            calls["forks"].append(count)
+            return super().draws(count, bound)
+
+    monkeypatch.setattr(container_module, "derive_positions", spy_derive)
+    monkeypatch.setattr(container_module, "SplitMix64", SpyStream)
+    return calls
+
+
+def _repeats_first_draw(params, seed, stego):
+    return len(set(SplitMix64(seed).draws(stego, params.n_parity))) < stego
+
+
+def test_keys_fall_back_for_a_repeated_first_draw(rs7, key_calls):
+    """RS(7,3) at stego 2 draws from 4 parity positions, so about one key
+    in four repeats its first draw and comes from derive_positions; every
+    other key is the packed pass's."""
+    forks = SplitMix64(41).draws(400, 1 << 64)
+    keys = list(container_module._keys(rs7, 41, 2, 800, 400))
+    assert keys == rssteg01_keys(rs7, 41, 2, 800, 400)
+    repeats = [(s, 2) for s in forks if _repeats_first_draw(rs7, s, 2)]
+    assert key_calls["derive"] == repeats
+    assert 70 <= len(repeats) <= 130
+
+
+@pytest.mark.parametrize("symbols", [1, 7, 599], ids=["one-symbol", "seven", "599"])
+def test_keys_for_a_message_that_ends_mid_codeword(rs7, key_calls, symbols):
+    """The last carrying key hides fewer than stego symbols, from
+    derive_positions with that count; the rest of the grid is empty."""
+    forks = SplitMix64(5).draws(300, 1 << 64)
+    keys = list(container_module._keys(rs7, 5, 2, symbols, 300))
+    assert keys == rssteg01_keys(rs7, 5, 2, symbols, 300)
+    last = symbols // 2
+    assert key_calls["derive"][-1] == (forks[last], 1)
+    assert [len(key.positions) for key in keys[last:]] == [1] + [0] * (299 - last)
+
+
+@pytest.mark.parametrize("symbols", [0, 10, 2 * 1025], ids=["empty", "5-codewords", "1025"])
+def test_keys_past_the_message_take_no_fork_and_no_draw(rs31, key_calls, symbols):
+    """Only the codewords that carry message symbols get a fork; the rest
+    get the empty key without a derive_positions call."""
+    codewords = 3000
+    keys = list(container_module._keys(rs31, 9, 2, symbols, codewords))
+    assert keys == rssteg01_keys(rs31, 9, 2, symbols, codewords)
+    carrying = symbols // 2
+    assert sum(key_calls["forks"]) == carrying
+    assert all(count > 0 for _, count in key_calls["derive"])
+    assert all(key.positions == () for key in keys[carrying:])
+
+
+@pytest.mark.parametrize("codewords", [1, 1023, 1024, 1025, 2047, 2048, 2049])
+@pytest.mark.parametrize("stego", [1, 2, 3])
+def test_keys_across_block_boundaries(rs31, key_calls, codewords, stego):
+    """Key blocks of 1,024 codewords, full, partly filled and one past a
+    boundary, with a message that ends inside the last codeword."""
+    block = container_module._KEY_BLOCK
+    assert block == 1024
+    symbols = codewords * stego - (stego > 1)
+    keys = list(container_module._keys(rs31, 77, stego, symbols, codewords))
+    assert keys == rssteg01_keys(rs31, 77, stego, symbols, codewords)
+    assert key_calls["forks"] == [min(block, codewords - start)
+                                  for start in range(0, codewords, block)]
+
+
+def test_keys_are_streamed_in_blocks(rs31):
+    """Iterating the keys without keeping them holds one block at a time:
+    the peak is about the same at 10,000 and 200,000 codewords."""
+    def peak(codewords):
+        tracemalloc.start()
+        try:
+            for _ in container_module._keys(rs31, 3, 2, 2 * codewords, codewords):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(10_000)   # warm the lane cache
+    small, large = peak(10_000), peak(200_000)
+    assert large < 1.5 * small

@@ -1,10 +1,12 @@
 """Property tests (hypothesis): the encoder and syndromes against the
 direct oracles, the decoder against the brute-force oracle, the container
-packers against the bit loop, and ``unpack_container`` and
+packers against the bit loop, the RSSTEG01 keys against one
+``derive_positions`` call per codeword, and ``unpack_container`` and
 ``extract_container`` on arbitrary headers and payloads."""
 
 import re
 import struct
+from math import isqrt
 
 import pytest
 
@@ -22,12 +24,13 @@ from rsstego import (
     syndromes,
     unpack_container,
 )
-from rsstego.container import MAGIC, pack_symbols, unpack_symbols
+from rsstego.container import MAGIC, _keys, pack_symbols, unpack_symbols
 from oracles import (
     bitloop_pack_symbols,
     brute_force_decode,
     direct_syndromes,
     remainder_encode,
+    rssteg01_keys,
 )
 
 
@@ -149,6 +152,28 @@ def container_blobs(draw):
     size = draw(size)
     blob = header + draw(st.binary(min_size=size, max_size=size))
     return blob[:draw(mostly(st.none(), st.integers(0, len(blob))))]
+
+
+@st.composite
+def key_requests(draw):
+    """A geometry with m in 3..16, a stego in 1..t, drawn as often below
+    sqrt(n - k), where ``_keys`` takes its packed pass, as anywhere, and a
+    message of 0 .. codewords * stego symbols under a 64-bit seed."""
+    m = draw(st.integers(3, 16))
+    n = (1 << m) - 1
+    params = CodeParams(field=GF2m(m), n=n, k=draw(st.integers(1, n - 2)))
+    low = min(params.t, isqrt(params.n_parity))
+    stego = draw(st.one_of(st.integers(1, low), st.integers(1, params.t)))
+    codewords = draw(st.integers(0, max(2, 256 // stego)))
+    symbols = draw(st.integers(0, codewords * stego))
+    return params, draw(st.integers(0, (1 << 64) - 1)), stego, symbols, codewords
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(key_requests())
+def test_keys_agree_with_one_derive_positions_per_codeword(request):
+    params, seed, stego, symbols, codewords = request
+    assert list(_keys(*request)) == rssteg01_keys(params, seed, stego, symbols, codewords)
 
 
 @settings(max_examples=400, deadline=None, derandomize=True)
