@@ -45,13 +45,20 @@ codeword past the message gets the empty key with no draw.
 Both ends check s and the key seed before any codeword is touched, and
 ``embed_container`` before it converts the carrier
 (``_message_codewords``): s is an int in [0, t], positive for a non-empty
-message, and the seed an int.  Extraction also refuses, with
-``CorruptHeaderError``, a message length that needs more codewords than
-the payload holds.  ``pack_container`` and ``unpack_container`` are the
-header alone.  ``rng.fork`` is the one seed derivation, and the RSSTEG01
-keys above are one of its two fixed schemes (the experiment's, in
-``harness``, is the other); fork(seed, i) is draw i + 1 of
-``SplitMix64(seed)``, which is how ``_keys`` reads it.
+message, and the seed an int.  ``embed_container`` refuses a geometry the
+header cannot hold even before that, by ``pack_container``'s rule.
+Extraction also refuses, with ``CorruptHeaderError``, a message length
+that needs more codewords than the payload holds.  After these checks the
+payload loop checks nothing per codeword: every carrier, message and
+received symbol is an m-bit field of bytes, and every key comes from
+``_keys``, distinct and within t.  So it calls the unchecked cores
+``rs._encode``, ``stego._embed`` and ``stego._extract``, which compute what
+``encode``, ``embed`` and ``extract`` compute after their checks.
+``pack_container`` and ``unpack_container`` are the header alone.
+``rng.fork`` is the one seed derivation, and the RSSTEG01 keys above are
+one of its two fixed schemes (the experiment's, in ``harness``, is the
+other); fork(seed, i) is draw i + 1 of ``SplitMix64(seed)``, which is how
+``_keys`` reads it.
 
 One algorithm packs every width.  Each symbol gets a byte lane of w = 8
 bits (m <= 8) or w = 16 bits (m > 8), converted to and from bytes in one
@@ -69,12 +76,11 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
-from itertools import islice
 
 from .galois import GF2m
 from .rng import GOLDEN, SplitMix64, _draws
-from .rs import CodeParams, Codeword, encode
-from .stego import StegoKey, check_key_request, derive_positions, embed, extract
+from .rs import CodeParams, Codeword, _encode
+from .stego import StegoKey, _embed, _extract, check_key_request, derive_positions
 
 MAGIC = b"RSSTEG01"
 # Codewords per block of keys in ``_keys``.  A multiple of 8, so that the
@@ -290,10 +296,12 @@ def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
     """The RSSTEG01 bytes that hide ``message`` in ``data`` by the payload
     rule, ``stego`` symbols per codeword under the key ``seed``, with the
     codeword count and the residual capacity (message symbols the grid
-    could still take).  A refused stego or seed raises ``ValueError``
-    (``BudgetExceededError`` for a stego above t) before the carrier is
-    converted."""
+    could still take).  A geometry the header cannot hold (m outside
+    [3, 16]) raises ``pack_container``'s ``ValueError``, and a refused
+    stego or seed ``ValueError`` (``BudgetExceededError`` for a stego above
+    t), both before the carrier is converted."""
     m, k = params.field.m, params.k
+    _check_geometry(m, params.n, k, ValueError)
     needed = _message_codewords(params, stego, seed, -(-len(message) * 8 // m))
     data_syms = bytes_to_symbols(data, m)
     msg_syms = bytes_to_symbols(message, m)
@@ -301,8 +309,9 @@ def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
     data_syms += [0] * (count * k - len(data_syms))
     payload: list[int] = []
     for i, key in enumerate(_keys(params, seed, stego, len(msg_syms), count)):
-        clean = encode(params, data_syms[i * k:(i + 1) * k])
-        payload.extend(embed(clean, key, msg_syms[i * stego:(i + 1) * stego]).symbols)
+        clean = _encode(params, data_syms[i * k:(i + 1) * k])
+        payload.extend(
+            _embed(clean, key.positions, msg_syms[i * stego:(i + 1) * stego]).symbols)
     blob = pack_container(m, params.n, k, len(message), seed, payload)
     return blob, count, count * stego - len(msg_syms)
 
@@ -326,11 +335,10 @@ def extract_container(blob: bytes, stego: int,
         raise CorruptHeaderError(f"message needs {needed} codewords, container "
                                  f"holds {container.num_codewords}")
     data_syms, msg_syms, failure = [], [], False
-    received = iter(container.symbols)
-    for key in _keys(params, seed, stego, msg_count, container.num_codewords):
-        # unpack_container yields m-bit symbols, so a word needs no check.
-        word = Codeword._of(params, list(islice(received, params.n)))
-        result = extract(word, key, params)
+    n, received = params.n, container.symbols
+    for i, key in enumerate(_keys(params, seed, stego, msg_count, container.num_codewords)):
+        word = Codeword._of(params, list(received[i * n:(i + 1) * n]))
+        result = _extract(word, key.positions, params)
         data_syms.extend(result.data)
         msg_syms.extend(result.message)
         failure |= result.diagnostics.failure

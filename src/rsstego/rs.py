@@ -7,7 +7,9 @@ sits at position n-1-i and parity symbol j at position n-k-1-j.
 ``Codeword.data`` and ``Codeword.parity`` are the one definition of that
 layout; read the blocks through them rather than hard-coding positions.
 ``_field_symbols`` is the one check of a symbol sequence's length and
-range, for ``Codeword``, ``encode`` and ``stego.embed``, and
+range, for ``Codeword``, ``encode`` and ``stego.embed``: it runs where
+symbols enter the library, and symbols the library made itself skip it
+(``_encode``, and the ``RSSTEG01`` payload of ``container``).
 ``Codeword._xor`` is the one place where a word's symbols change: a word
 XOR an error pattern, position -> delta.  The decoder's correction, the
 channel's noise (``channel.apply_noise``) and the hidden message
@@ -217,16 +219,19 @@ class Codeword:
 
     A word is checked once, when it enters the library:
     ``Codeword(params, symbols)`` hands any iterable to ``_field_symbols``,
-    the entry check that ``encode`` and ``embed`` share, and keeps a copy of
-    what it returns.  The check raises ``LengthMismatchError`` unless there
-    are n symbols and ``ValueError`` for an input that is not iterable or a
-    symbol that is not an integer or lies outside [0, q).  Ints, bools and
-    numpy integers pass and are stored as ``int``.
+    the entry check that ``encode`` and ``embed`` share for input from
+    outside, and keeps a copy of what it returns.  The check raises
+    ``LengthMismatchError`` unless there are n symbols and ``ValueError``
+    for an input that is not iterable or a symbol that is not an integer or
+    lies outside [0, q).  Ints, bools and numpy integers pass and are stored
+    as ``int``.
     ``decode`` and ``syndromes`` use a ``Codeword`` of their own geometry as
     it is, and the words the library computes from checked symbols
     (``encode``, and ``_xor`` for ``embed``, ``apply_noise`` and ``decode``)
-    are built without a second check, as are the words that
-    ``container.extract_container`` unpacks from ``RSSTEG01`` bytes.
+    are built without a second check.  So are the words of an ``RSSTEG01``
+    payload, whose symbols are m-bit fields by construction:
+    ``container.embed_container`` encodes its carrier with ``_encode`` and
+    ``extract_container`` wraps the words it unpacks with ``_of``.
     Mutating ``symbols`` afterwards is unsupported.
     """
 
@@ -335,7 +340,12 @@ def encode(params: CodeParams, data: Iterable[int]) -> Codeword:
     a symbol that is not an integer in [0, q); integer types other than
     ``int`` are stored as ``int``.
     """
-    data = _field_symbols(data, params.k, params.field.q, "data symbol")
+    return _encode(params, _field_symbols(data, params.k, params.field.q, "data symbol"))
+
+
+def _encode(params: CodeParams, data: list[int]) -> Codeword:
+    """``encode`` without the check, for k data symbols already known to
+    lie in [0, q): parity in positions [0, n-k), then the data reversed."""
     return Codeword._of(params, [*_parity(build_cauchy(params), data), *reversed(data)])
 
 

@@ -12,7 +12,10 @@ refuse more than t substitutions, and an experiment also reserves its
 channel's worst case.  ``check_key_request`` runs it last, for every key
 that is asked for.  ``check_key`` runs it for a key that comes from
 outside; it is the one check of a key against a geometry, run by
-``embed`` and ``extract`` alike.
+``embed`` and ``extract`` alike.  Their cores, ``_embed`` and ``_extract``,
+check nothing: ``container`` calls them with the keys it has just derived
+(distinct, in the parity block and within t by construction) and with
+symbols that are m-bit fields of the container bytes.
 
 By default positions are drawn from the parity block only, keeping the
 visible data symbols untouched; pass pool="any" to allow every position.
@@ -130,7 +133,13 @@ def embed(clean: Codeword, key: StegoKey, message: SecretMessage) -> Codeword:
     """
     params, positions = clean.params, key.positions
     check_key(params, key)
-    message = _field_symbols(message, len(positions), params.field.q, "message symbol")
+    return _embed(clean, positions,
+                  _field_symbols(message, len(positions), params.field.q, "message symbol"))
+
+
+def _embed(clean: Codeword, positions: tuple[int, ...], message: list[int]) -> Codeword:
+    """``embed`` without the checks, for distinct in-range positions within
+    t and one symbol in [0, q) per position."""
     return clean._xor({p: s ^ clean.symbols[p] for p, s in zip(positions, message)})
 
 
@@ -151,10 +160,15 @@ def extract(received, key: StegoKey, params: CodeParams) -> ExtractResult:
     checked like a new ``Codeword``.
     """
     check_key(params, key)
-    word = _received(params, received)
+    return _extract(_received(params, received), key.positions, params)
+
+
+def _extract(word: Codeword, positions: tuple[int, ...], params: CodeParams) -> ExtractResult:
+    """``extract`` without the checks, for a ``Codeword`` of this geometry
+    and distinct in-range positions within t."""
     diagnostics = decode(params, word)
     return ExtractResult(
         data=diagnostics.corrected.data,
-        message=[word.symbols[p] for p in key.positions],
+        message=[word.symbols[p] for p in positions],
         diagnostics=diagnostics,
     )

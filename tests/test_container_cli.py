@@ -14,12 +14,18 @@ from rsstego import (
     GF2m,
     MessageTooLargeError,
     SplitMix64,
+    derive_positions,
+    embed,
     embed_container,
+    encode,
+    extract,
     extract_container,
     pack_container,
     unpack_container,
 )
 from rsstego import container as container_module
+from rsstego import rs as rs_module
+from rsstego import stego as stego_module
 from rsstego.container import (
     HEADER_SIZE,
     MAGIC,
@@ -716,8 +722,8 @@ def test_container_library_refuses_a_bad_stego_or_header(
     def no_codeword(*args):
         raise AssertionError("a codeword was touched before the check")
 
-    monkeypatch.setattr(container_module, "encode", no_codeword)
-    monkeypatch.setattr(container_module, "extract", no_codeword)
+    for core in ("_encode", "_embed", "_extract"):
+        monkeypatch.setattr(container_module, core, no_codeword)
     with pytest.raises(error, match=match):
         call(rs31)
 
@@ -738,6 +744,75 @@ def test_embed_container_refuses_before_converting_the_carrier(rs31, monkeypatch
     with pytest.raises(ValueError):
         embed_container(rs31, carrier, b"abc", seed, stego)
     assert carrier not in converted
+
+
+def test_embed_container_refuses_an_unwritable_geometry_before_converting(monkeypatch):
+    """RS(3,1) is a code (m = 2, t = 1), but the header takes m in [3, 16]
+    only: the header's rule refuses it, with pack_container's text, before
+    any carrier symbol is made."""
+    converted = []
+
+    def spy(data, m):
+        converted.append(data)
+        return bytes_to_symbols(data, m)
+
+    monkeypatch.setattr(container_module, "bytes_to_symbols", spy)
+    rs3 = CodeParams(field=GF2m(2), n=3, k=1)
+    with pytest.raises(ValueError, match=r"^symbol width m=2 outside \[3, 16\]$"):
+        embed_container(rs3, bytes(1024), b"", 0, 0)
+    with pytest.raises(ValueError, match=r"^symbol width m=2 outside \[3, 16\]$"):
+        pack_container(2, 3, 1, 0, 0, [])
+    assert converted == []
+
+
+@pytest.fixture()
+def entry_checks(monkeypatch):
+    """The number of symbol-sequence checks (``rs._field_symbols``, under
+    both names that call it) and key checks (``stego.check_key``) made while
+    the test runs."""
+    counts = {"symbols": 0, "keys": 0}
+    field_symbols, check_key = rs_module._field_symbols, stego_module.check_key
+
+    def spy_symbols(*args):
+        counts["symbols"] += 1
+        return field_symbols(*args)
+
+    def spy_key(*args):
+        counts["keys"] += 1
+        return check_key(*args)
+
+    for module in (rs_module, stego_module):
+        monkeypatch.setattr(module, "_field_symbols", spy_symbols)
+    monkeypatch.setattr(stego_module, "check_key", spy_key)
+    return counts
+
+
+def test_the_payload_loop_checks_no_codeword_and_no_key(rs31, entry_checks):
+    """The container's symbols are m-bit fields of bytes and its keys come
+    from _keys, so neither end checks a codeword's symbols or key: 17
+    codewords, of which the first 5 carry the message."""
+    carrier, message = bytes(range(200)), b"hidden"
+    blob, codewords, _ = embed_container(rs31, carrier, message, 3, 2)
+    assert codewords == 17
+    assert entry_checks == {"symbols": 0, "keys": 0}
+    data, got, failure = extract_container(blob, 2)
+    assert entry_checks == {"symbols": 0, "keys": 0}
+    assert (data[:len(carrier)], got, failure) == (carrier, message, False)
+    assert blob == rssteg01_container(carrier, message, 5, 19, 2, 3)
+
+
+def test_the_public_calls_check_once(rs31, entry_checks):
+    """encode checks its data, embed its key and its message, and extract
+    its key (and a raw received word, as Codeword does)."""
+    clean = encode(rs31, range(19))
+    assert entry_checks == {"symbols": 1, "keys": 0}
+    key = derive_positions(rs31, 5, 2)
+    stego_word = embed(clean, key, [7, 9])
+    assert entry_checks == {"symbols": 2, "keys": 1}
+    assert extract(stego_word, key, rs31).message == [7, 9]
+    assert entry_checks == {"symbols": 2, "keys": 2}
+    assert extract(stego_word.symbols, key, rs31).message == [7, 9]
+    assert entry_checks == {"symbols": 3, "keys": 3}
 
 
 # ----------------------------------------------------------------------
