@@ -15,9 +15,9 @@ packing: global bit b lives in symbol b // m, mask 1 << (m - 1 - b % m).
 
 Each mode only draws its error pattern, a map from position to nonzero XOR
 delta (``ErrorEvent.deltas``); the noisy word is the input XOR that map,
-applied by ``Codeword._xor``, the XOR that also applies ``embed``'s hidden
-symbols and ``decode``'s correction.  The bit modes share ``_bit_deltas``, the one place
-that maps bits of the MSB-first bitstream to symbols.
+applied by ``Codeword._xor``, the XOR that also applies ``decode``'s
+correction.  The bit modes share ``_bit_deltas``, the one place that maps
+bits of the MSB-first bitstream to symbols.
 """
 
 from __future__ import annotations

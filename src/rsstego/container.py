@@ -51,9 +51,18 @@ Extraction also refuses, with ``CorruptHeaderError``, a message length
 that needs more codewords than the payload holds.  After these checks the
 payload loop checks nothing per codeword: every carrier, message and
 received symbol is an m-bit field of bytes, and every key comes from
-``_keys``, distinct and within t.  So it calls the unchecked cores
-``rs._encode``, ``stego._embed`` and ``stego._extract``, which compute what
-``encode``, ``embed`` and ``extract`` compute after their checks.
+``_keys``, distinct and within t.  It looks the generator up once per
+call and works on symbol lists and slices of the payload, with no
+``Codeword``, ``DecodeResult`` or ``ExtractResult``.  Embedding lays out
+each codeword with ``rs._codeword`` (one LFSR pass, then the data
+reversed) and writes its hidden symbols with ``stego._substitute``, the
+rules ``encode`` and ``embed`` apply after their checks.  Extraction
+takes each word's parity block and reversed data block as slices and
+hands them to ``rs._error_pattern``, the decoder's verdict that
+``decode`` wraps.  It reads the message at the key positions from the
+received symbols, keeps the data slice unless the pattern reaches the
+data block (only the syndrome path can), and on a failure keeps the
+received data and sets the failure flag, as ``extract`` would.
 ``pack_container`` and ``unpack_container`` are the header alone.
 ``rng.fork`` is the one seed derivation, and the RSSTEG01 keys above are
 one of its two fixed schemes (the experiment's, in ``harness``, is the
@@ -79,8 +88,8 @@ from dataclasses import dataclass
 
 from .galois import GF2m
 from .rng import GOLDEN, SplitMix64, _draws
-from .rs import CodeParams, Codeword, _encode
-from .stego import StegoKey, _embed, _extract, check_key_request, derive_positions
+from .rs import CodeParams, _codeword, _error_pattern, build_cauchy
+from .stego import StegoKey, _substitute, check_key_request, derive_positions
 
 MAGIC = b"RSSTEG01"
 # Codewords per block of keys in ``_keys``.  A multiple of 8, so that the
@@ -307,11 +316,12 @@ def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
     msg_syms = bytes_to_symbols(message, m)
     count = max(-(-len(data_syms) // k), needed)
     data_syms += [0] * (count * k - len(data_syms))
+    gen = build_cauchy(params)
     payload: list[int] = []
     for i, key in enumerate(_keys(params, seed, stego, len(msg_syms), count)):
-        clean = _encode(params, data_syms[i * k:(i + 1) * k])
-        payload.extend(
-            _embed(clean, key.positions, msg_syms[i * stego:(i + 1) * stego]).symbols)
+        word = _codeword(gen, data_syms[i * k:(i + 1) * k])
+        _substitute(word, key.positions, msg_syms[i * stego:(i + 1) * stego])
+        payload += word
     blob = pack_container(m, params.n, k, len(message), seed, payload)
     return blob, count, count * stego - len(msg_syms)
 
@@ -335,12 +345,17 @@ def extract_container(blob: bytes, stego: int,
         raise CorruptHeaderError(f"message needs {needed} codewords, container "
                                  f"holds {container.num_codewords}")
     data_syms, msg_syms, failure = [], [], False
-    n, received = params.n, container.symbols
+    n, n_parity, received = params.n, params.n_parity, container.symbols
+    gen = build_cauchy(params)
     for i, key in enumerate(_keys(params, seed, stego, msg_count, container.num_codewords)):
-        word = Codeword._of(params, list(received[i * n:(i + 1) * n]))
-        result = _extract(word, key.positions, params)
-        data_syms.extend(result.data)
-        msg_syms.extend(result.message)
-        failure |= result.diagnostics.failure
+        start = i * n
+        data = received[start + n - 1:start + n_parity - 1:-1]   # d_0 first
+        pattern = _error_pattern(params, gen, data, received[start:start + n_parity])
+        msg_syms += [received[start + p] for p in key.positions]
+        if pattern is None:
+            failure = True
+        elif pattern and max(pattern) >= n_parity:   # only the syndrome path
+            data = [d ^ pattern.get(n - 1 - j, 0) for j, d in enumerate(data)]
+        data_syms += data
     return (symbols_to_bytes(data_syms, m),
             symbols_to_bytes(msg_syms, m, byte_len=container.message_len), failure)

@@ -4,16 +4,19 @@ The code has length n = q - 1 and corrects t = (n - k) // 2 symbol errors.
 A codeword stores its parity block in positions [0, n-k) and its data block
 in positions [n-k, n), with the vectors indexed from the top: data symbol i
 sits at position n-1-i and parity symbol j at position n-k-1-j.
-``Codeword.data`` and ``Codeword.parity`` are the one definition of that
-layout; read the blocks through them rather than hard-coding positions.
+``Codeword.data`` and ``Codeword.parity`` read a word's blocks by that
+layout, and ``_codeword`` is the one place that lays a word out; the
+``RSSTEG01`` payload loop reads the same blocks as slices of its payload.
 ``_field_symbols`` is the one check of a symbol sequence's length and
 range, for ``Codeword``, ``encode`` and ``stego.embed``: it runs where
 symbols enter the library, and symbols the library made itself skip it
-(``_encode``, and the ``RSSTEG01`` payload of ``container``).
-``Codeword._xor`` is the one place where a word's symbols change: a word
-XOR an error pattern, position -> delta.  The decoder's correction, the
-channel's noise (``channel.apply_noise``) and the hidden message
-(``stego.embed``) are all such patterns.
+(the private cores, and the ``RSSTEG01`` payload of ``container``).
+``Codeword._xor`` is the one place where a word's symbols change by an
+error pattern, position -> delta: the decoder's correction and the
+channel's noise (``channel.apply_noise``).  The hidden message differs from
+the clean word by such a pattern too, but it is written as a substitution,
+by ``stego._substitute``, for ``stego.embed`` and the ``RSSTEG01`` payload
+alike, with no pattern built.
 
 Encoding divides by the generator polynomial
 
@@ -36,7 +39,9 @@ picked by d plus the symbol that left the low lane: that symbol times
 g(x) + x^(n-k).  Multiplying by a constant is GF(2)-linear, so the table
 is the m rows alpha^b * g and every XOR of them, q XORs and no field
 multiplication.  It is built with the cached generator, and a codeword's
-parity costs k lookups and one ``int.to_bytes``.
+parity costs k lookups.  ``_parity`` returns the register as one int, and
+``_codeword`` reads its lanes back with one ``int.to_bytes`` and lays out
+the word, for ``encode`` and the ``RSSTEG01`` payload alike.
 
 Decoding first re-encodes the received data block.  That gives a
 codeword c, and the error word e = r + c is zero on the data positions.
@@ -47,6 +52,12 @@ any bounded-distance decoder returns, and its error pattern is e on its
 support.  This is the common case for stego words, whose hidden
 symbols sit in the parity block by default, and it needs no syndromes
 and no field multiplication.
+
+``_error_pattern`` is that verdict, taken from a word's data block and
+parity block alone: the error pattern, or None when decoding fails.
+``decode`` wraps it in a ``DecodeResult``, and the ``RSSTEG01`` payload
+loop calls it on slices of the payload, with the generator it looked up
+once.
 
 Otherwise the decoder is classical syndrome decoding from all n - k
 syndromes: Berlekamp-Massey for the minimal error-locator polynomial, a
@@ -91,10 +102,13 @@ The syndrome path runs in the log domain, without ``GF2m.mul``: a
 product is one lookup in the doubled exp table at the sum of two logs.
 Syndromes are linear and vanish on codewords, so S_j(r) = S_j(e): they
 come from the parity remainder e_0 .. e_(n-k-1).  ``_remainder`` is the
-one place that computes it, for ``decode`` and ``syndromes`` alike: it
-re-encodes the data block of the word it is given, unless that block is
-all zero, since zero data re-encodes to zero parity.  ``decode`` hands
-``syndromes`` the word e, so a decode re-encodes at most once.
+one place that computes it, for ``_error_pattern`` and ``syndromes``
+alike: the LFSR register of the re-encoded data block XOR the received
+parity block packed into the same lanes, one int XOR, read back as n - k
+lanes.  ``syndromes`` skips it for a word whose data block is all zero,
+since zero data re-encodes to zero parity.  The syndrome path hands
+``syndromes`` the word e, whose data block is zero, so a decode
+re-encodes exactly once.
 
 Both the syndromes and the Chien scan evaluate a sparse polynomial, given
 as log terms (log c, j), at the points alpha^1 .. alpha^count, and both go
@@ -227,11 +241,11 @@ class Codeword:
     as ``int``.
     ``decode`` and ``syndromes`` use a ``Codeword`` of their own geometry as
     it is, and the words the library computes from checked symbols
-    (``encode``, and ``_xor`` for ``embed``, ``apply_noise`` and ``decode``)
-    are built without a second check.  So are the words of an ``RSSTEG01``
-    payload, whose symbols are m-bit fields by construction:
-    ``container.embed_container`` encodes its carrier with ``_encode`` and
-    ``extract_container`` wraps the words it unpacks with ``_of``.
+    (``encode``, ``embed``, and ``_xor`` for ``apply_noise`` and ``decode``)
+    are built by ``_of``, without a second check.  An ``RSSTEG01`` payload,
+    whose symbols are m-bit fields by construction, builds no ``Codeword``
+    at all: ``container`` lays out and decodes its words as symbol lists
+    and payload slices, through ``_codeword`` and ``_error_pattern``.
     Mutating ``symbols`` afterwards is unsupported.
     """
 
@@ -250,8 +264,8 @@ class Codeword:
 
     def _xor(self, pattern: Mapping[int, int]) -> "Codeword":
         """A new word: this one XOR an error pattern, position -> delta in
-        [0, q).  The one place where a word's symbols change (see the module
-        docstring)."""
+        [0, q).  The one place where a word's symbols change by a pattern
+        (see the module docstring)."""
         symbols = self.symbols.copy()
         for pos, delta in pattern.items():
             symbols[pos] ^= delta
@@ -340,17 +354,21 @@ def encode(params: CodeParams, data: Iterable[int]) -> Codeword:
     a symbol that is not an integer in [0, q); integer types other than
     ``int`` are stored as ``int``.
     """
-    return _encode(params, _field_symbols(data, params.k, params.field.q, "data symbol"))
+    data = _field_symbols(data, params.k, params.field.q, "data symbol")
+    return Codeword._of(params, _codeword(build_cauchy(params), data))
 
 
-def _encode(params: CodeParams, data: list[int]) -> Codeword:
-    """``encode`` without the check, for k data symbols already known to
-    lie in [0, q): parity in positions [0, n-k), then the data reversed."""
-    return Codeword._of(params, [*_parity(build_cauchy(params), data), *reversed(data)])
+def _codeword(gen: CauchyGenerator, data: Sequence[int]) -> list[int]:
+    """The n symbols of the codeword of k data symbols already known to lie
+    in [0, q): the layout rule, parity in positions [0, n-k), then the data
+    reversed."""
+    lanes = gen.lanes
+    return [*lanes.unpack(_parity(gen, data).to_bytes(lanes.size, "big")), *reversed(data)]
 
 
-def _parity(gen: CauchyGenerator, data: Iterable[int]) -> tuple[int, ...]:
-    """Parity block of k in-range data symbols, in position order 0 .. n-k-1.
+def _parity(gen: CauchyGenerator, data: Iterable[int]) -> int:
+    """Parity block of k in-range data symbols, packed as ``gen.lanes``
+    packs it: position 0 in the top lane.
 
     One LFSR step per data symbol, d_0 first: the register holds the
     remainder so far, shifting it multiplies by x, and the coefficient that
@@ -361,8 +379,7 @@ def _parity(gen: CauchyGenerator, data: Iterable[int]) -> tuple[int, ...]:
     rem = 0
     for d in data:
         rem = (rem >> width) ^ table[(rem & low) ^ d]
-    lanes = gen.lanes
-    return lanes.unpack(rem.to_bytes(lanes.size, "big"))
+    return rem
 
 
 # ----------------------------------------------------------------------
@@ -390,23 +407,25 @@ def syndromes(params: CodeParams, received) -> list[int]:
     new ``Codeword``: the wrong length raises ``LengthMismatchError`` and a
     symbol that is not an integer in [0, q) ``ValueError``.
     """
+    word = _received(params, received)
+    data, remainder = word.data, word.symbols[:params.n_parity]
+    if any(data):   # zero data re-encodes to zero parity
+        remainder = _remainder(build_cauchy(params), data, remainder)
     log = params.field._log
-    remainder = _remainder(params, _received(params, received))
     terms = [(log[e], i) for i, e in enumerate(remainder) if e]
     return list(_evaluate(params, terms, params.n_parity))
 
 
-def _remainder(params: CodeParams, word: Codeword) -> list[int]:
-    """The parity remainder e_0 .. e_(n-k-1) of a word r: its parity block
-    XOR that of its re-encoded data block, so e = r + c for the re-encoded
-    codeword c, and e is zero on the data positions.  Zero data re-encodes
-    to zero parity, so such a word is its own remainder and skips the
-    re-encode."""
-    data, remainder = word.data, word.symbols[:params.n_parity]
-    if any(data):
-        parity = _parity(build_cauchy(params), data)
-        remainder = [a ^ b for a, b in zip(parity, remainder)]
-    return remainder
+def _remainder(gen: CauchyGenerator, data: Sequence[int],
+               parity: Sequence[int]) -> tuple[int, ...]:
+    """The parity remainder e_0 .. e_(n-k-1) of a received word, from its
+    data block (d_0 first) and its parity block (position order): the
+    re-encoded parity XOR the received parity, as one packed int.  So
+    e = r + c for the re-encoded codeword c, and e is zero on the data
+    positions."""
+    lanes = gen.lanes
+    rem = _parity(gen, data) ^ int.from_bytes(lanes.pack(*parity), "big")
+    return lanes.unpack(rem.to_bytes(lanes.size, "big"))
 
 
 @lru_cache(maxsize=CAUCHY_CACHE_SIZE)
@@ -534,16 +553,29 @@ def decode(params: CodeParams, received) -> DecodeResult:
     miscorrection to another valid codeword.
     """
     word = _received(params, received)
-    error = _remainder(params, word)   # e = r + c; 0 on the data
-    pattern = {i: e for i, e in enumerate(error) if e}
-    if len(pattern) > params.t:
-        pattern = _syndrome_pattern(params, error)
-        if pattern is None:
-            return DecodeResult(corrected=word, failure=True)
+    pattern = _error_pattern(params, build_cauchy(params), word.data,
+                             word.symbols[:params.n_parity])
+    if pattern is None:
+        return DecodeResult(corrected=word, failure=True)
     return DecodeResult(corrected=word._xor(pattern), error_magnitudes=pattern)
 
 
-def _syndrome_pattern(params: CodeParams, error: list[int]) -> dict[int, int] | None:
+def _error_pattern(params: CodeParams, gen: CauchyGenerator, data: Sequence[int],
+                   parity: Sequence[int]) -> dict[int, int] | None:
+    """The decoder's verdict on the received word with data block ``data``
+    (d_0 first) and parity block ``parity`` (position order): its error
+    pattern, position -> nonzero magnitude in ascending position order, or
+    None when decoding fails.  The data block is re-encoded once; up to t
+    nonzero remainder lanes are the pattern (the re-encoding shortcut), and
+    more go to the syndrome path."""
+    error = _remainder(gen, data, parity)   # e = r + c; 0 on the data
+    pattern = {i: e for i, e in enumerate(error) if e}
+    if len(pattern) <= params.t:
+        return pattern
+    return _syndrome_pattern(params, error)
+
+
+def _syndrome_pattern(params: CodeParams, error: Sequence[int]) -> dict[int, int] | None:
     """The error pattern of a word whose parity remainder is ``error`` (its
     n - k low symbols; the data block is zero), from Berlekamp-Massey, Chien
     and Forney, in ascending position order; None when decoding fails."""

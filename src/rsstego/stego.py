@@ -12,10 +12,14 @@ refuse more than t substitutions, and an experiment also reserves its
 channel's worst case.  ``check_key_request`` runs it last, for every key
 that is asked for.  ``check_key`` runs it for a key that comes from
 outside; it is the one check of a key against a geometry, run by
-``embed`` and ``extract`` alike.  Their cores, ``_embed`` and ``_extract``,
-check nothing: ``container`` calls them with the keys it has just derived
-(distinct, in the parity block and within t by construction) and with
-symbols that are m-bit fields of the container bytes.
+``embed`` and ``extract`` alike.  ``_substitute`` is the substitution
+rule on a symbol list and checks nothing.  ``embed`` calls it after its
+checks, and ``container`` calls it, with the keys it has just derived
+(distinct, in the parity block and within t by construction) and
+message symbols that are m-bit fields of bytes, on each codeword it
+lays out.  ``container`` reads the message back from its payload at the
+same positions and decodes with ``rs._error_pattern``, so it calls
+neither ``extract`` nor a core of it.
 
 By default positions are drawn from the parity block only, keeping the
 visible data symbols untouched; pass pool="any" to allow every position.
@@ -121,26 +125,30 @@ def derive_positions(
 def embed(clean: Codeword, key: StegoKey, message: SecretMessage) -> Codeword:
     """Substitute the symbols at the key positions with message symbols.
 
-    The substitution is an error pattern, message symbol XOR clean symbol
-    at each key position, applied by ``Codeword._xor`` as the channel's
-    noise and the decoder's correction are: it is the pattern the decoder
-    later removes.  A message symbol equal to the clean symbol is fine: it
-    produces a zero-magnitude "error" and extraction still reads it back,
-    because extraction reads received values rather than deltas.  The key
-    is checked first; then ``message`` may be any iterable of one symbol
-    per key position (else ``LengthMismatchError``), each an integer in
-    [0, q) (else ``ValueError``).
+    The stego word differs from the clean word by an error pattern, message
+    symbol XOR clean symbol at each key position: it is the pattern the
+    decoder later removes.  A message symbol equal to the clean symbol is
+    fine: it produces a zero-magnitude "error" and extraction still reads
+    it back, because extraction reads received values rather than deltas.
+    The key is checked first; then ``message`` may be any iterable of one
+    symbol per key position (else ``LengthMismatchError``), each an integer
+    in [0, q) (else ``ValueError``).
     """
     params, positions = clean.params, key.positions
     check_key(params, key)
-    return _embed(clean, positions,
-                  _field_symbols(message, len(positions), params.field.q, "message symbol"))
+    message = _field_symbols(message, len(positions), params.field.q, "message symbol")
+    symbols = clean.symbols.copy()
+    _substitute(symbols, positions, message)
+    return Codeword._of(params, symbols)
 
 
-def _embed(clean: Codeword, positions: tuple[int, ...], message: list[int]) -> Codeword:
-    """``embed`` without the checks, for distinct in-range positions within
-    t and one symbol in [0, q) per position."""
-    return clean._xor({p: s ^ clean.symbols[p] for p, s in zip(positions, message)})
+def _substitute(symbols: list[int], positions: tuple[int, ...], message: list[int]) -> None:
+    """The substitution rule, in place: the symbol at each key position p
+    becomes its message symbol s.  Nothing is checked: ``embed`` checks
+    first, and ``container`` passes keys from its key rule and m-bit
+    symbols."""
+    for p, s in zip(positions, message):
+        symbols[p] = s
 
 
 class ExtractResult(NamedTuple):
@@ -160,15 +168,8 @@ def extract(received, key: StegoKey, params: CodeParams) -> ExtractResult:
     checked like a new ``Codeword``.
     """
     check_key(params, key)
-    return _extract(_received(params, received), key.positions, params)
-
-
-def _extract(word: Codeword, positions: tuple[int, ...], params: CodeParams) -> ExtractResult:
-    """``extract`` without the checks, for a ``Codeword`` of this geometry
-    and distinct in-range positions within t."""
+    word = _received(params, received)
     diagnostics = decode(params, word)
-    return ExtractResult(
-        data=diagnostics.corrected.data,
-        message=[word.symbols[p] for p in positions],
-        diagnostics=diagnostics,
-    )
+    return ExtractResult(data=diagnostics.corrected.data,
+                         message=[word.symbols[p] for p in key.positions],
+                         diagnostics=diagnostics)

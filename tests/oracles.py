@@ -12,7 +12,8 @@ multiplication per product, and against long division by g(x) with one
 field multiplication per term.  The bit-packing references read one big
 int per byte string, or loop once per symbol and byte.
 ``rssteg01_container`` writes an RSSTEG01 container from the README's
-payload rule, without the CLI.  The codeword layout is stated position
+payload rule, without the CLI, and ``rssteg01_extract`` reads one back by
+the same rule, one public ``extract`` per codeword.  The codeword layout is stated position
 by position, the Hamming metric lives here because only tests use it,
 and the expected ``%DS_M`` of a channel is an exact sum over its noise
 events.
@@ -30,8 +31,10 @@ from rsstego import (
     derive_positions,
     embed,
     encode,
+    extract,
     fork,
     pack_container,
+    unpack_container,
 )
 
 
@@ -388,6 +391,32 @@ def rssteg01_container(data, message, m, k, stego, seed):
         clean = encode(params, data_symbols[i * k:(i + 1) * k])
         payload += embed(clean, key, hidden).symbols
     return pack_container(m, params.n, k, len(message), seed, payload)
+
+
+def rssteg01_extract(blob, stego, seed=None):
+    """What ``rsstego extract`` returns for the container ``blob``, from the
+    README's rule, one codeword at a time: codeword i is read with the
+    public ``extract`` under derive_positions(params, fork(seed, i),
+    count), where count = min(stego, remaining message symbols); its
+    corrected data symbols and its message symbols are concatenated and
+    packed MSB-first, the carrier floored to whole bytes and the message
+    cut to the header's length.  ``seed`` defaults to the header's."""
+    container = unpack_container(blob)
+    m, n = container.m, container.n
+    params = CodeParams(GF2m(m), n, container.k)
+    seed = container.seed if seed is None else seed
+    remaining = -(-container.message_len * 8 // m)
+    data, message, failure = [], [], False
+    for i in range(container.num_codewords):
+        count = min(stego, remaining)
+        remaining -= count
+        key = derive_positions(params, fork(seed, i), count)
+        result = extract(container.symbols[i * n:(i + 1) * n], key, params)
+        data += result.data
+        message += result.message
+        failure |= result.diagnostics.failure
+    return (bitloop_pack_symbols(data, m)[:len(data) * m // 8],
+            bitloop_pack_symbols(message, m)[:container.message_len], failure)
 
 
 def rssteg01_keys(params, seed, stego, symbols, codewords):

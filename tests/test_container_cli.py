@@ -10,10 +10,14 @@ from rsstego import (
     BadMagicError,
     BudgetExceededError,
     CodeParams,
+    Codeword,
     CorruptHeaderError,
+    DecodeResult,
+    ExtractResult,
     GF2m,
     MessageTooLargeError,
     SplitMix64,
+    decode,
     derive_positions,
     embed,
     embed_container,
@@ -40,6 +44,7 @@ from oracles import (
     bitloop_pack_symbols,
     bitloop_unpack_symbols,
     rssteg01_container,
+    rssteg01_extract,
     rssteg01_keys,
 )
 
@@ -722,7 +727,7 @@ def test_container_library_refuses_a_bad_stego_or_header(
     def no_codeword(*args):
         raise AssertionError("a codeword was touched before the check")
 
-    for core in ("_encode", "_embed", "_extract"):
+    for core in ("_codeword", "_substitute", "_error_pattern"):
         monkeypatch.setattr(container_module, core, no_codeword)
     with pytest.raises(error, match=match):
         call(rs31)
@@ -813,6 +818,108 @@ def test_the_public_calls_check_once(rs31, entry_checks):
     assert entry_checks == {"symbols": 2, "keys": 2}
     assert extract(stego_word.symbols, key, rs31).message == [7, 9]
     assert entry_checks == {"symbols": 3, "keys": 3}
+
+
+@pytest.fixture()
+def built(monkeypatch):
+    """The number of ``Codeword``, ``DecodeResult`` and ``ExtractResult``
+    objects made while the test runs, and of ``build_cauchy`` calls under
+    both names that reach it.  A ``Codeword`` is made by its constructor or
+    by ``Codeword._of``, which skips the check."""
+    counts = dict.fromkeys(("Codeword", "DecodeResult", "ExtractResult", "build_cauchy"), 0)
+
+    def counted(name, original):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(Codeword, "__init__", counted("Codeword", Codeword.__init__))
+    monkeypatch.setattr(Codeword, "_of", classmethod(counted("Codeword", Codeword._of.__func__)))
+    monkeypatch.setattr(DecodeResult, "__init__", counted("DecodeResult", DecodeResult.__init__))
+    monkeypatch.setattr(ExtractResult, "__new__", counted("ExtractResult", ExtractResult.__new__))
+    spy = counted("build_cauchy", rs_module.build_cauchy)
+    for module in (rs_module, container_module):
+        monkeypatch.setattr(module, "build_cauchy", spy)
+    return counts
+
+
+def test_the_payload_loop_builds_no_word_and_looks_up_the_encoder_once(rs31, built):
+    """A 345-codeword RS(31,19) round trip works on slices of the payload:
+    no Codeword, DecodeResult or ExtractResult, and one build_cauchy lookup
+    per call.  The public extract of one word still builds one of each."""
+    carrier = random.Random(27).randbytes(4096)
+    message = random.Random(28).randbytes(2 * 345 * 5 // 8)
+    blob, codewords, residual = embed_container(rs31, carrier, message, 7, 2)
+    assert (codewords, residual) == (345, 0)
+    assert built == {"Codeword": 0, "DecodeResult": 0, "ExtractResult": 0,
+                     "build_cauchy": 1}
+    data, got, failure = extract_container(blob, 2)
+    assert built == {"Codeword": 0, "DecodeResult": 0, "ExtractResult": 0,
+                     "build_cauchy": 2}
+    assert (data[:len(carrier)], got, failure) == (carrier, message, False)
+    assert blob == rssteg01_container(carrier, message, 5, 19, 2, 7)
+
+    built.update(dict.fromkeys(built, 0))
+    word = unpack_container(blob).symbols[:rs31.n]
+    assert extract(word, derive_positions(rs31, 5, 2), rs31).diagnostics.corrected
+    assert built == {"Codeword": 2, "DecodeResult": 1, "ExtractResult": 1,
+                     "build_cauchy": 1}
+
+
+def _word_outcome(params, symbols):
+    """How the public decoder reads one word: clean, corrected in the
+    parity block only (the re-encoding shortcut), corrected in the data
+    block (only the syndrome path can), or failed."""
+    result = decode(params, symbols)
+    if result.failure:
+        return "failure"
+    if not result.error_magnitudes:
+        return "clean"
+    return "data" if max(result.error_magnitudes) >= params.n_parity else "shortcut"
+
+
+@pytest.mark.parametrize("m, k, codewords, rounds", [
+    (3, 3, 48, 12), (5, 19, 40, 12), (8, 223, 12, 8), (11, 2015, 5, 4),
+], ids=["m3", "m5", "m8", "m11"])
+def test_extract_container_matches_the_oracle_on_damaged_files(m, k, codewords, rounds):
+    """Payload byte flips, codeword by codeword: none, a few single-bit
+    flips (at most t - stego symbol errors, which always decode) or many
+    random bytes (usually a failure).  The message fills the first half of
+    the grid, so undamaged words past it are clean and undamaged words
+    before it take the shortcut.  Every damaged file is read with the
+    header's seed and a wrong one, and extract_container must equal the
+    per-codeword oracle both times."""
+    params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
+    n, t = params.n, params.t
+    stego = 1 if t < 4 else 2
+    rnd = random.Random(f"damaged-{m}")
+    carrier = rnd.randbytes(codewords * k * m // 8)
+    message = rnd.randbytes(codewords // 2 * stego * m // 8)
+    blob = embed_container(params, carrier, message, 11, stego)[0]
+    header, payload = blob[:HEADER_SIZE], blob[HEADER_SIZE:]
+    outcomes = set()
+    for _ in range(rounds):
+        damaged = bytearray(payload)
+        for i in range(codewords):
+            first, last = i * n * m // 8, ((i + 1) * n * m - 1) // 8
+            mode = rnd.choice(("none", "light", "heavy"))
+            if mode == "light":
+                bits = rnd.sample(range(i * n * m, (i + 1) * n * m), rnd.randint(1, t - stego))
+                for bit in bits:
+                    damaged[bit // 8] ^= 0x80 >> bit % 8
+            elif mode == "heavy":
+                span = range(first, last + 1)
+                for pos in rnd.sample(span, min(2 * t + 1, len(span))):
+                    damaged[pos] ^= rnd.randrange(1, 256)
+        file = header + bytes(damaged)
+        symbols = unpack_container(file).symbols
+        outcomes.update(_word_outcome(params, symbols[i * n:(i + 1) * n])
+                        for i in range(codewords))
+        for seed in (None, 12):
+            assert extract_container(file, stego, seed) == rssteg01_extract(file, stego, seed)
+    assert outcomes == {"clean", "shortcut", "data", "failure"}
 
 
 # ----------------------------------------------------------------------
