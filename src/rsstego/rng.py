@@ -34,10 +34,12 @@ and leaves the same state.
 its one-state case: for each state s it gives the ``count`` values that
 ``SplitMix64(s).below(bound)`` would return, in one ``_finalize`` pass
 over ``len(states) * count`` lanes.  Lane i * count + j, for draw j + 1
-of stream i, starts as s_i + (j + 1) * GOLDEN: each state is copied into
-its ``count`` lanes by strided writes to a word array, and the ramp and
-masks are the one-stream ones, repeated.  Both read the lanes back with
-the one cached ``struct`` record of ``count`` lanes, once per stream.
+of stream i, starts as s_i + (j + 1) * GOLDEN.  One little-endian
+``struct`` pack puts state i in lane i * count, whatever the number of
+streams, and one multiply by a cached int with 1 in lanes 0 .. count - 1
+copies it into its ``count`` lanes; the ramp and masks are the
+one-stream ones, repeated.  The lanes are read back with one cached
+``struct`` record, so no format here depends on the host's byte order.
 The RSSTEG01 keys in ``container`` take their forks from one stream and
 their positions from many.
 """
@@ -45,10 +47,7 @@ their positions from many.
 from __future__ import annotations
 
 import struct
-import sys
-from array import array
 from functools import lru_cache
-from itertools import chain
 
 MASK64 = (1 << 64) - 1
 GOLDEN = 0x9E3779B97F4A7C15
@@ -74,57 +73,53 @@ def fork(seed: int, index: int) -> int:
 
 # A trial draws its data and its message, two counts per geometry, and an
 # RSSTEG01 file its forks and its key size; eight keeps a few geometries
-# warm.  At RS(255,223) the entry for 223 draws holds three 3.5 KB ints.
+# warm.  An entry holds its lanes repeated over every stream: about
+# 0.2 MB for a block of 1,024 two-draw keys, 1.5 MB for 1,024 keys at
+# stego 16 and 5.6 MB at stego 63, the largest packed key at m = 12.
+# A call's peak is about twice its entry, cached or not: 0.45 MB for the
+# two-draw block and 13 MB at stego 63 (tracemalloc).
 _LANE_CACHE_SIZE = 8
 
 
 @lru_cache(maxsize=_LANE_CACHE_SIZE)
-def _lanes(count: int) -> tuple[int, int, int, struct.Struct]:
-    """(ones, ramp, mask, record) for count 128-bit lanes: lane j holds 1,
-    the 64-bit value (j + 1) * GOLDEN and 2^64 - 1 respectively, and
-    ``record`` reads the low 64 bits of every lane from little-endian
-    bytes."""
-    ones = int.from_bytes(b"\x01".ljust(16, b"\x00") * count, "little")
-    ramp = int.from_bytes(b"".join(
-        ((j * GOLDEN) & MASK64).to_bytes(16, "little") for j in range(1, count + 1)
-    ), "little")
-    return ones, ramp, ones * MASK64, struct.Struct("<" + "Q8x" * count)
-
-
-def _repeat(lanes: int, count: int, times: int) -> int:
-    """``times`` copies of the count 128-bit lanes of ``lanes``, end to end."""
-    return int.from_bytes(lanes.to_bytes(16 * count, "little") * times, "little")
+def _lanes(count: int, streams: int) -> tuple[int, int, int, int, struct.Struct, struct.Struct]:
+    """(ones, ramp, mask, copies, column, record) for ``streams`` runs of
+    count 128-bit lanes: lane j of each run holds 1, the 64-bit value
+    (j + 1) * GOLDEN and 2^64 - 1 respectively, and ``copies`` is the
+    ``ones`` of one run.  ``column`` packs state i into lane i * count of
+    a little-endian int, and ``record`` reads the low 64 bits of every
+    lane from little-endian bytes."""
+    copies = int.from_bytes(b"\x01".ljust(16, b"\x00") * count, "little")
+    ramp = b"".join(((j * GOLDEN) & MASK64).to_bytes(16, "little")
+                    for j in range(1, count + 1))
+    ones = int.from_bytes(copies.to_bytes(16 * count, "little") * streams, "little")
+    column = struct.Struct("<" + f"{16 * count - 8}x".join("Q" * streams))
+    record = struct.Struct("<" + "Q8x" * (count * streams))
+    return ones, int.from_bytes(ramp * streams, "little"), ones * MASK64, copies, column, record
 
 
 def _draws(states, count: int, bound: int) -> list[int]:
     """For each state s of ``states``, in order, the ``count`` values of
     ``[SplitMix64(s).below(bound) for _ in range(count)]``, concatenated.
     Every state must lie in [0, 2^64); count and bound are not checked."""
-    ones, ramp, mask, record = _lanes(count)
-    streams = len(states)
-    if streams == 1:
-        spread = states[0] * ones
-    elif not count:
+    if not count:
         return []
-    else:
-        ones, ramp, mask = (_repeat(x, count, streams) for x in (ones, ramp, mask))
-        # Stream i's state in each of its lanes i * count .. i * count + count - 1.
-        words = array("Q", bytes(16 * count * streams))
-        column = array("Q", states)
-        for j in range(0, 2 * count, 2):
-            words[j::2 * count] = column
-        if sys.byteorder == "big":
-            words.byteswap()
-        spread = int.from_bytes(words, "little")
+    ones, ramp, mask, copies, column, record = _lanes(count, len(states))
+    spread = int.from_bytes(column.pack(*states), "little") * copies
     # A state plus the ramp can carry past bit 64 of a lane.
     z = _finalize((spread + ramp) & mask, mask)
     power_of_two = bound & (bound - 1) == 0 and bound <= 1 << 64
     if power_of_two:
         z &= ones * (bound - 1)
-    raw = z.to_bytes(16 * count * streams, "little")
-    values = list(record.unpack(raw) if streams == 1
-                  else chain.from_iterable(record.iter_unpack(raw)))
-    return values if power_of_two else [v % bound for v in values]
+    values = record.unpack(z.to_bytes(record.size, "little"))
+    return list(values) if power_of_two else [v % bound for v in values]
+
+
+def _bad_bound(bound) -> ValueError:
+    """The error for a bound that is not an int (bools included) or not
+    positive, which ``below`` and ``draws`` refuse alike."""
+    return ValueError(f"bound must be an int, got {bound!r}" if type(bound) is not int
+                      else f"bound must be positive, got {bound}")
 
 
 class SplitMix64:
@@ -141,8 +136,8 @@ class SplitMix64:
 
     def below(self, bound: int) -> int:
         """Uniform draw in [0, bound)."""
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        if type(bound) is not int or bound <= 0:
+            raise _bad_bound(bound)
         return self.next_u64() % bound
 
     def draws(self, count: int, bound: int) -> list[int]:
@@ -150,8 +145,8 @@ class SplitMix64:
         lanes of one int, and the state those calls would leave."""
         if type(count) is not int or count < 0:
             raise ValueError(f"count must be an int >= 0, got {count!r}")
-        if bound <= 0:
-            raise ValueError(f"bound must be positive, got {bound}")
+        if type(bound) is not int or bound <= 0:
+            raise _bad_bound(bound)
         values = _draws((self._state,), count, bound)
         self._state = (self._state + count * GOLDEN) & MASK64
         return values

@@ -112,13 +112,9 @@ def derive_positions(
     # Both pools hold at least n - k >= t >= count positions, so the draw
     # terminates.
     rng = SplitMix64(seed)
-    positions: list[int] = []
-    seen = set()
+    positions: dict[int, None] = {}   # insertion-ordered: first occurrences
     while len(positions) < count:
-        idx = rng.below(size)
-        if idx not in seen:
-            seen.add(idx)
-            positions.append(idx)
+        positions[rng.below(size)] = None
     return StegoKey(positions=tuple(positions))
 
 

@@ -44,6 +44,8 @@ def test_draws_equal_repeated_below(bound):
 def test_lane_cache_is_bounded():
     for count in range(3 * rng_module._LANE_CACHE_SIZE):
         SplitMix64(count).draws(count, 8)
+        for streams in (0, 2, 5):
+            rng_module._draws(range(streams), count, 8)
     info = rng_module._lanes.cache_info()
     assert type(info.maxsize) is int
     assert info.currsize <= info.maxsize
@@ -55,6 +57,11 @@ def test_draws_refuse_a_bad_bound_or_count():
         with pytest.raises(ValueError, match="bound must be positive"):
             rng.draws(3, bound)
         with pytest.raises(ValueError, match="bound must be positive"):
+            rng.below(bound)
+    for bound in (2.5, 8.0, True, None, "8", type("Int", (int,), {})(8)):
+        with pytest.raises(ValueError, match="bound must be an int"):
+            rng.draws(3, bound)
+        with pytest.raises(ValueError, match="bound must be an int"):
             rng.below(bound)
     for count in (-1, 2.0, True, None):
         with pytest.raises(ValueError, match="count must be an int >= 0"):

@@ -28,7 +28,7 @@ def test_draws_equal_repeated_below(seed, before, count, bound):
     assert packed._state == scalar._state
 
 
-@pytest.mark.parametrize("streams", [0, 1, 2, 3, 64])
+@pytest.mark.parametrize("streams", [0, 1, 2, 3, 64, 1024])
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(data=st.data(), count=st.integers(0, 40), bound=BOUNDS)
 def test_many_stream_draws_equal_concatenated_draws(streams, data, count, bound):

@@ -870,6 +870,31 @@ def test_decode_contract_beyond_t(m, k, miscorrects):
     assert miscorrections > 0 or not miscorrects
 
 
+@pytest.mark.parametrize("weight, successes", [(3, 42), (4, 588)])
+def test_decode_miscorrection_rate_beyond_t_is_exact(weight, successes):
+    """Every error pattern of weight 3 and 4 on the zero codeword of RS(7,3),
+    t = 2: on each support, exactly 42 of the 7^3 and 588 of the 7^4
+    patterns decode as a success, 6/49 and 12/49 overall.  RS codes are
+    MDS, so the miscorrection rate beyond t does not depend on where the
+    errors sit.  Each success is a codeword within t of the received word."""
+    params = CodeParams(field=GF2m(3), n=7, k=3)
+    n, q, t = params.n, params.field.q, params.t
+    for support in combinations(range(n), weight):
+        count = 0
+        for magnitudes in product(range(1, q), repeat=weight):
+            received = [0] * n
+            for pos, y in zip(support, magnitudes):
+                received[pos] = y
+            result = decode(params, received)
+            if result.failure:
+                continue
+            count += 1
+            corrected = result.corrected.symbols
+            assert corrected == remainder_encode(params, result.corrected.data)
+            assert hamming_distance(corrected, received) <= t
+        assert count == successes, support
+
+
 def test_decode_flags_word_with_only_the_last_syndrome_nonzero(rs7):
     """g'(x) = prod_{j=1..4} (x + alpha^j), read as an RS(7,2) word.
 
