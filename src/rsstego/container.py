@@ -20,11 +20,10 @@ length field, so recovered carrier data is zero-padded to the codeword
 grid; the message is byte-exact via its length field.
 
 ``embed_container`` and ``extract_container`` are the one home of the
-payload rule, which lays carrier and message over that grid.  Both take
-and give bytes: ``extract_container`` reads the header itself, so every
-word it decodes comes from ``unpack_container``.  Carrier and message
-bytes are each read as one MSB-first stream of m-bit symbols, the last one
-zero-padded.  With s message symbols per codeword:
+payload rule, which lays carrier and message over that grid, and the only
+library code that converts a payload.  Both take and give bytes.  Carrier
+and message bytes are each read as one MSB-first stream of m-bit symbols,
+the last one zero-padded.  With s message symbols per codeword:
 
 * the codeword count is max(ceil(data symbols / k), ceil(message symbols /
   s)), and 0 message symbols need 0 codewords;
@@ -42,28 +41,40 @@ key whose first draws repeat a position, for the one partly filled key,
 and for every key when s^2 > n - k, where most keys repeat one.  A
 codeword past the message gets the empty key with no draw.
 
-Both ends check s and the key seed before any codeword is touched, and
-``embed_container`` before it converts the carrier
-(``_message_codewords``): s is an int in [0, t], positive for a non-empty
-message, and the seed an int.  ``embed_container`` refuses a geometry the
-header cannot hold even before that, by ``pack_container``'s rule.
-Extraction also refuses, with ``CorruptHeaderError``, a message length
-that needs more codewords than the payload holds.  After these checks the
-payload loop checks nothing per codeword: every carrier, message and
-received symbol is an m-bit field of bytes, and every key comes from
-``_keys``, distinct and within t.  It looks the generator up once per
-call and works on symbol lists and slices of the payload, with no
-``Codeword``, ``DecodeResult`` or ``ExtractResult``.  Embedding lays out
-each codeword with ``rs._codeword`` (one LFSR pass, then the data
+Both ends check every header field, s and the key seed before they
+convert a payload.  ``embed_container`` packs its header first, by
+``pack_container``'s rule: a geometry the header cannot hold, a seed that
+is not an int or a message of 2^32 bytes or more is refused there.
+``extract_container`` reads the header with ``unpack_container``.  Then
+both check s and the seed (``_message_codewords``): s is an int in [0,
+t], positive for a non-empty message, and the seed an int.  Extraction
+takes the codeword count from the payload's length alone and refuses,
+with ``CorruptHeaderError``, a message length that needs more codewords
+than that.  Only then does ``embed_container`` convert the carrier and
+the message, and ``extract_container`` the payload (``unpack_symbols``);
+a payload with no whole codeword builds no generator.
+
+After these checks the payload loop checks nothing per codeword: every
+carrier, message and received symbol is an m-bit field of bytes, and
+every key comes from ``_keys``, distinct and within t.  It looks the
+generator up once per call and works on symbol lists and slices of the
+payload, with no ``DecodeResult`` or ``ExtractResult`` and no
+``Codeword`` but for a word corrected in its data block.  Embedding lays
+out each codeword with ``rs._codeword`` (one LFSR pass, then the data
 reversed) and writes its hidden symbols with ``stego._substitute``, the
 rules ``encode`` and ``embed`` apply after their checks.  Extraction
 takes each word's parity block and reversed data block as slices and
 hands them to ``rs._error_pattern``, the decoder's verdict that
 ``decode`` wraps.  It reads the message at the key positions from the
-received symbols, keeps the data slice unless the pattern reaches the
-data block (only the syndrome path can), and on a failure keeps the
-received data and sets the failure flag, as ``extract`` would.
-``pack_container`` and ``unpack_container`` are the header alone.
+received symbols and keeps the data slice unless the pattern reaches the
+data block, which only the syndrome path can: then that word alone is
+wrapped by ``Codeword._of`` and corrected by ``Codeword._xor``, the one
+XOR of a pattern.  On a failure it keeps the received data and sets the
+failure flag, as ``extract`` would.  ``unpack_container`` reads the
+header alone, and ``Container`` holds its five fields.
+``pack_container`` writes a header and the symbols it is given; given
+none, it writes the header alone, which is how ``embed_container`` uses
+it.
 ``rng.fork`` is the one seed derivation, and the RSSTEG01 keys above are
 one of its two fixed schemes (the experiment's, in ``harness``, is the
 other); fork(seed, i) is draw i + 1 of ``SplitMix64(seed)``, which is how
@@ -88,7 +99,7 @@ from dataclasses import dataclass
 
 from .galois import GF2m
 from .rng import GOLDEN, SplitMix64, _draws
-from .rs import CodeParams, _codeword, _error_pattern, build_cauchy
+from .rs import CodeParams, Codeword, _codeword, _error_pattern, build_cauchy
 from .stego import StegoKey, _substitute, check_key_request, derive_positions
 
 MAGIC = b"RSSTEG01"
@@ -195,16 +206,13 @@ def symbols_to_bytes(symbols, m: int, byte_len: int | None = None) -> bytes:
 
 @dataclass(frozen=True)
 class Container:
+    """The five fields of an RSSTEG01 header."""
+
     m: int
     n: int
     k: int
     message_len: int
     seed: int
-    symbols: tuple[int, ...]
-
-    @property
-    def num_codewords(self) -> int:
-        return len(self.symbols) // self.n
 
 
 def _check_geometry(m: int, n: int, k: int, error: type[ValueError]) -> None:
@@ -238,16 +246,17 @@ def pack_container(
 
 
 def unpack_container(blob: bytes) -> Container:
-    if len(blob) < len(MAGIC) or not blob.startswith(MAGIC):
+    """The header of the RSSTEG01 bytes ``blob``, whose payload is not read.
+    Bytes that do not start with the magic raise ``BadMagicError``, and a
+    truncated header or a geometry ``pack_container`` would refuse
+    ``CorruptHeaderError``."""
+    if not blob.startswith(MAGIC):
         raise BadMagicError("not an RSSTEG01 container")
     if len(blob) < HEADER_SIZE:
         raise CorruptHeaderError(f"header truncated: {len(blob)} bytes < {HEADER_SIZE}")
     _, m, n, k, message_len, seed = _HEADER.unpack(blob[:HEADER_SIZE])
     _check_geometry(m, n, k, CorruptHeaderError)
-    symbols = unpack_symbols(blob[HEADER_SIZE:], m)
-    del symbols[len(symbols) // n * n:]   # in place: one copy, the tuple
-    return Container(m=m, n=n, k=k, message_len=message_len, seed=seed,
-                     symbols=tuple(symbols))
+    return Container(m=m, n=n, k=k, message_len=message_len, seed=seed)
 
 
 def _message_codewords(params: CodeParams, stego: int, seed: int, symbols: int) -> int:
@@ -305,12 +314,14 @@ def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
     """The RSSTEG01 bytes that hide ``message`` in ``data`` by the payload
     rule, ``stego`` symbols per codeword under the key ``seed``, with the
     codeword count and the residual capacity (message symbols the grid
-    could still take).  A geometry the header cannot hold (m outside
-    [3, 16]) raises ``pack_container``'s ``ValueError``, and a refused
-    stego or seed ``ValueError`` (``BudgetExceededError`` for a stego above
-    t), both before the carrier is converted."""
+    could still take).  The header is packed first, so a geometry it
+    cannot hold (m outside [3, 16]) or a seed that is not an int raises
+    ``pack_container``'s ``ValueError`` and a message of 2^32 bytes or more
+    ``MessageTooLargeError``; a refused stego raises ``ValueError``
+    (``BudgetExceededError`` above t).  All of these come before the
+    carrier or the message is converted."""
     m, k = params.field.m, params.k
-    _check_geometry(m, params.n, k, ValueError)
+    header = pack_container(m, params.n, k, len(message), seed, ())
     needed = _message_codewords(params, stego, seed, -(-len(message) * 8 // m))
     data_syms = bytes_to_symbols(data, m)
     msg_syms = bytes_to_symbols(message, m)
@@ -322,8 +333,7 @@ def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
         word = _codeword(gen, data_syms[i * k:(i + 1) * k])
         _substitute(word, key.positions, msg_syms[i * stego:(i + 1) * stego])
         payload += word
-    blob = pack_container(m, params.n, k, len(message), seed, payload)
-    return blob, count, count * stego - len(msg_syms)
+    return header + pack_symbols(payload, m), count, count * stego - len(msg_syms)
 
 
 def extract_container(blob: bytes, stego: int,
@@ -333,21 +343,25 @@ def extract_container(blob: bytes, stego: int,
     ``blob``; ``seed`` defaults to the header's.  A bad container raises
     ``BadMagicError`` or ``CorruptHeaderError`` (the latter also for a
     message that needs more codewords than the payload holds), and a
-    refused stego or seed the errors of ``embed_container``.
+    refused stego or seed the errors of ``embed_container``, all before
+    the payload is converted.
     """
-    container = unpack_container(blob)
-    m = container.m
-    params = CodeParams(field=GF2m(m), n=container.n, k=container.k)
-    seed = container.seed if seed is None else seed
-    msg_count = -(-container.message_len * 8 // m)
+    header = unpack_container(blob)
+    m, n = header.m, header.n
+    params = CodeParams(field=GF2m(m), n=n, k=header.k)
+    seed = header.seed if seed is None else seed
+    msg_count = -(-header.message_len * 8 // m)
     needed = _message_codewords(params, stego, seed, msg_count)
-    if needed > container.num_codewords:
+    codewords = (len(blob) - HEADER_SIZE) * 8 // m // n
+    if needed > codewords:
         raise CorruptHeaderError(f"message needs {needed} codewords, container "
-                                 f"holds {container.num_codewords}")
+                                 f"holds {codewords}")
+    received = unpack_symbols(blob[HEADER_SIZE:], m)
     data_syms, msg_syms, failure = [], [], False
-    n, n_parity, received = params.n, params.n_parity, container.symbols
-    gen = build_cauchy(params)
-    for i, key in enumerate(_keys(params, seed, stego, msg_count, container.num_codewords)):
+    # A payload with no whole codeword needs no generator, whose build is
+    # quadratic in n - k: seconds at RS(8191,1), minutes at RS(65535,1).
+    n_parity, gen = params.n_parity, build_cauchy(params) if codewords else None
+    for i, key in enumerate(_keys(params, seed, stego, msg_count, codewords)):
         start = i * n
         data = received[start + n - 1:start + n_parity - 1:-1]   # d_0 first
         pattern = _error_pattern(params, gen, data, received[start:start + n_parity])
@@ -355,7 +369,7 @@ def extract_container(blob: bytes, stego: int,
         if pattern is None:
             failure = True
         elif pattern and max(pattern) >= n_parity:   # only the syndrome path
-            data = [d ^ pattern.get(n - 1 - j, 0) for j, d in enumerate(data)]
+            data = Codeword._of(params, received[start:start + n])._xor(pattern).data
         data_syms += data
     return (symbols_to_bytes(data_syms, m),
-            symbols_to_bytes(msg_syms, m, byte_len=container.message_len), failure)
+            symbols_to_bytes(msg_syms, m, byte_len=header.message_len), failure)

@@ -12,8 +12,9 @@ range, for ``Codeword``, ``encode`` and ``stego.embed``: it runs where
 symbols enter the library, and symbols the library made itself skip it
 (the private cores, and the ``RSSTEG01`` payload of ``container``).
 ``Codeword._xor`` is the one place where a word's symbols change by an
-error pattern, position -> delta: the decoder's correction and the
-channel's noise (``channel.apply_noise``).  The hidden message differs from
+error pattern, position -> delta: the decoder's correction, the
+``RSSTEG01`` extract's correction of a data block, and the channel's
+noise (``channel.apply_noise``).  The hidden message differs from
 the clean word by such a pattern too, but it is written as a substitution,
 by ``stego._substitute``, for ``stego.embed`` and the ``RSSTEG01`` payload
 alike, with no pattern built.
@@ -243,9 +244,11 @@ class Codeword:
     it is, and the words the library computes from checked symbols
     (``encode``, ``embed``, and ``_xor`` for ``apply_noise`` and ``decode``)
     are built by ``_of``, without a second check.  An ``RSSTEG01`` payload,
-    whose symbols are m-bit fields by construction, builds no ``Codeword``
-    at all: ``container`` lays out and decodes its words as symbol lists
-    and payload slices, through ``_codeword`` and ``_error_pattern``.
+    whose symbols are m-bit fields by construction, builds a ``Codeword``
+    only for a word whose error pattern reaches its data block, by ``_of``,
+    to correct it with ``_xor``: ``container`` lays out and decodes its
+    words as symbol lists and payload slices, through ``_codeword`` and
+    ``_error_pattern``.
     Mutating ``symbols`` afterwards is unsupported.
     """
 

@@ -13,15 +13,18 @@ field multiplication per term.  The bit-packing references read one big
 int per byte string, or loop once per symbol and byte.
 ``rssteg01_container`` writes an RSSTEG01 container from the README's
 payload rule, without the CLI, and ``rssteg01_extract`` reads one back by
-the same rule, one public ``extract`` per codeword.  The codeword layout is stated position
-by position, the Hamming metric lives here because only tests use it,
-and the expected ``%DS_M`` of a channel is an exact sum over its noise
-events.
+the same rule, one public ``extract`` per codeword, from the payload
+symbols of ``rssteg01_symbols``, which reads them as one big int.  The
+codeword layout is stated position by position, the Hamming metric lives
+here because only tests use it, the expected ``%DS_M`` of a channel is an
+exact sum over its noise events, and the miscorrection probability of a
+bounded-distance decoder is an exact sum over the MDS weight distribution.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 from typing import Iterable, Sequence
 
 from rsstego import (
@@ -36,6 +39,7 @@ from rsstego import (
     pack_container,
     unpack_container,
 )
+from rsstego.container import HEADER_SIZE
 
 
 # ----------------------------------------------------------------------
@@ -393,6 +397,16 @@ def rssteg01_container(data, message, m, k, stego, seed):
     return pack_container(m, params.n, k, len(message), seed, payload)
 
 
+def rssteg01_symbols(blob):
+    """The header of the RSSTEG01 bytes ``blob`` and the symbols of its
+    whole codewords: floor(payload bits / m) // n codewords of n m-bit
+    symbols each, read MSB-first by ``bigint_to_symbols``."""
+    header = unpack_container(blob)
+    m, n = header.m, header.n
+    codewords = (len(blob) - HEADER_SIZE) * 8 // m // n
+    return header, bigint_to_symbols(blob[HEADER_SIZE:], m, codewords * n)
+
+
 def rssteg01_extract(blob, stego, seed=None):
     """What ``rsstego extract`` returns for the container ``blob``, from the
     README's rule, one codeword at a time: codeword i is read with the
@@ -401,22 +415,22 @@ def rssteg01_extract(blob, stego, seed=None):
     corrected data symbols and its message symbols are concatenated and
     packed MSB-first, the carrier floored to whole bytes and the message
     cut to the header's length.  ``seed`` defaults to the header's."""
-    container = unpack_container(blob)
-    m, n = container.m, container.n
-    params = CodeParams(GF2m(m), n, container.k)
-    seed = container.seed if seed is None else seed
-    remaining = -(-container.message_len * 8 // m)
+    header, symbols = rssteg01_symbols(blob)
+    m, n = header.m, header.n
+    params = CodeParams(GF2m(m), n, header.k)
+    seed = header.seed if seed is None else seed
+    remaining = -(-header.message_len * 8 // m)
     data, message, failure = [], [], False
-    for i in range(container.num_codewords):
+    for i in range(len(symbols) // n):
         count = min(stego, remaining)
         remaining -= count
         key = derive_positions(params, fork(seed, i), count)
-        result = extract(container.symbols[i * n:(i + 1) * n], key, params)
+        result = extract(symbols[i * n:(i + 1) * n], key, params)
         data += result.data
         message += result.message
         failure |= result.diagnostics.failure
     return (bitloop_pack_symbols(data, m)[:len(data) * m // 8],
-            bitloop_pack_symbols(message, m)[:container.message_len], failure)
+            bitloop_pack_symbols(message, m)[:header.message_len], failure)
 
 
 def rssteg01_keys(params, seed, stego, symbols, codewords):
@@ -426,6 +440,47 @@ def rssteg01_keys(params, seed, stego, symbols, codewords):
     fork(seed, i), count)."""
     return [derive_positions(params, fork(seed, i), min(stego, max(0, symbols - i * stego)))
             for i in range(codewords)]
+
+
+# ----------------------------------------------------------------------
+# exact miscorrection probability beyond t
+# ----------------------------------------------------------------------
+def mds_weights(n, k, q):
+    """A_0 .. A_n, the number of codewords of each weight in an MDS [n, k]
+    code over GF(q), as exact ints: A_0 = 1, no weight below d = n - k + 1,
+    and A_w = C(n, w) sum_{j=0}^{w-d} (-1)^j C(w, j) (q^(w-d+1-j) - 1)
+    (MacWilliams & Sloane, "The Theory of Error-Correcting Codes", ch. 11,
+    Thm. 6)."""
+    d = n - k + 1
+    return [1] + [0] * (d - 1) + [
+        comb(n, w) * sum((-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1)
+                         for j in range(w - d + 1))
+        for w in range(d, n + 1)]
+
+
+def _near(n, q, t, weight, w):
+    """N_t(weight, w): the words of weight ``weight`` within distance t of
+    one fixed word of weight w.  Of its w nonzero symbols, j are zeroed and
+    i changed to another nonzero value, and l of its n - w zeros become
+    nonzero, with w - j + l = weight and i + j + l <= t."""
+    return sum(comb(w, j) * comb(w - j, i) * (q - 2) ** i
+               * comb(n - w, weight - w + j) * (q - 1) ** (weight - w + j)
+               for j in range(w + 1) for i in range(w - j + 1)
+               if 0 <= weight - w + j and i + weight - w + 2 * j <= t)
+
+
+def miscorrection_probability(params, weight):
+    """The exact probability that a bounded-distance decoder takes a word
+    with a uniform error pattern of ``weight`` nonzero symbols, on uniform
+    positions, to a wrong codeword: sum_w A_w N_t(weight, w) over the
+    nonzero codewords, over the C(n, weight) (q - 1)^weight patterns.  The
+    spheres of radius t around codewords are disjoint, so no word is
+    counted twice, and the code is linear, so the sent word does not
+    matter."""
+    n, q, t = params.n, params.field.q, params.t
+    weights = mds_weights(n, params.k, q)
+    hits = sum(weights[w] * _near(n, q, t, weight, w) for w in range(1, n + 1))
+    return Fraction(hits, comb(n, weight) * (q - 1) ** weight)
 
 
 # ----------------------------------------------------------------------

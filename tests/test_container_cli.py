@@ -3,6 +3,7 @@
 import random
 import struct
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +12,7 @@ from rsstego import (
     BudgetExceededError,
     CodeParams,
     Codeword,
+    Container,
     CorruptHeaderError,
     DecodeResult,
     ExtractResult,
@@ -46,6 +48,7 @@ from oracles import (
     rssteg01_container,
     rssteg01_extract,
     rssteg01_keys,
+    rssteg01_symbols,
 )
 
 
@@ -110,11 +113,8 @@ def test_packers_match_bigint_reference(m):
 def test_container_header_roundtrip():
     blob = pack_container(5, 31, 19, message_len=7, seed=12345, symbols=[1] * 62)
     cont = unpack_container(blob)
-    assert (cont.m, cont.n, cont.k) == (5, 31, 19)
-    assert cont.message_len == 7
-    assert cont.seed == 12345
-    assert cont.num_codewords == 2
-    assert cont.symbols == tuple([1] * 62)
+    assert cont == Container(m=5, n=31, k=19, message_len=7, seed=12345)
+    assert rssteg01_symbols(blob) == (cont, [1] * 62)   # two whole codewords
 
 
 def test_container_bad_magic():
@@ -387,9 +387,7 @@ def test_cli_flipped_symbol_still_roundtrips(workdir, capsys):
         "embed", "--data", str(workdir / "cover.bin"),
         "--message", str(workdir / "secret.bin"), "--out", str(container),
     ])
-    blob = bytearray(container.read_bytes())
-    cont = unpack_container(bytes(blob))
-    symbols = list(cont.symbols)
+    cont, symbols = rssteg01_symbols(container.read_bytes())
     symbols[cont.n - 1] ^= 9  # corrupt a data-block symbol of codeword 0
     container.write_bytes(
         pack_container(cont.m, cont.n, cont.k, cont.message_len, cont.seed, symbols)
@@ -656,14 +654,15 @@ def _fuzz_blobs(workdir, count, seed):
 def test_unpack_container_raises_only_documented_errors(workdir, capsys):
     for blob in _fuzz_blobs(workdir, 600, seed=1):
         try:
-            cont = unpack_container(blob)
+            cont, expected = rssteg01_symbols(blob)
         except (BadMagicError, CorruptHeaderError):
             continue
         assert cont.n == (1 << cont.m) - 1
         CodeParams(GF2m(cont.m), cont.n, cont.k)   # rsstego extract builds it
-        assert len(cont.symbols) == cont.num_codewords * cont.n
         # rsstego extract builds its words from these without a second check.
-        assert all(0 <= s < 1 << cont.m for s in cont.symbols)
+        received = unpack_symbols(blob[HEADER_SIZE:], cont.m)
+        assert received[:len(expected)] == expected
+        assert all(0 <= s < 1 << cont.m for s in received)
 
 
 def test_cli_extract_never_raises_on_malformed_containers(workdir, capsys):
@@ -733,11 +732,27 @@ def test_container_library_refuses_a_bad_stego_or_header(
         call(rs31)
 
 
-@pytest.mark.parametrize("stego, seed", [(-1, 0), (7, 0), (2.0, 0), (2, 1.5)],
-                         ids=["negative-stego", "stego-above-t", "float-stego", "float-seed"])
-def test_embed_container_refuses_before_converting_the_carrier(rs31, monkeypatch, stego, seed):
-    """A refused stego or seed costs no carrier conversion: the check runs
-    on the message's symbol count alone."""
+class _FourGiB:
+    """A message of 2^32 bytes that has a length and nothing else."""
+
+    def __len__(self):
+        return 1 << 32
+
+
+@pytest.mark.parametrize("stego, seed, message, error", [
+    (-1, 0, b"abc", ValueError),
+    (7, 0, b"abc", BudgetExceededError),
+    (2.0, 0, b"abc", ValueError),
+    (2, 1.5, b"abc", ValueError),
+    (2, 0, _FourGiB(), MessageTooLargeError),
+], ids=["negative-stego", "stego-above-t", "float-stego", "float-seed", "message-of-2^32-bytes"])
+def test_embed_container_refuses_before_converting_the_carrier(
+    rs31, monkeypatch, stego, seed, message, error
+):
+    """A refused stego or seed costs no carrier or message conversion: the
+    check runs on the message's symbol count alone.  The header is packed
+    first, so a message of 2^32 bytes, which its 32-bit length field cannot
+    hold, is refused the same way."""
     converted = []
 
     def spy(data, m):
@@ -745,10 +760,28 @@ def test_embed_container_refuses_before_converting_the_carrier(rs31, monkeypatch
         return bytes_to_symbols(data, m)
 
     monkeypatch.setattr(container_module, "bytes_to_symbols", spy)
-    carrier = bytes(range(64))
+    with pytest.raises(error):
+        embed_container(rs31, bytes(range(64)), message, seed, stego)
+    assert converted == []
+
+
+@pytest.mark.parametrize("stego, seed", [(-1, 0), (7, 0), (2.0, 0), (2, 1.5), (2, None)],
+                         ids=["negative-stego", "stego-above-t", "float-stego", "float-seed",
+                              "message-beyond-the-payload"])
+def test_extract_container_refuses_before_converting_the_payload(monkeypatch, stego, seed):
+    """A refused stego or seed, or a message that needs 7 codewords of a
+    one-codeword payload, costs no payload conversion: every check runs on
+    the header and the payload's length alone."""
+    converted = []
+
+    def spy(data, m):
+        converted.append(data)
+        return unpack_symbols(data, m)
+
+    monkeypatch.setattr(container_module, "unpack_symbols", spy)
     with pytest.raises(ValueError):
-        embed_container(rs31, carrier, b"abc", seed, stego)
-    assert carrier not in converted
+        _extract_one(stego, seed)
+    assert converted == []
 
 
 def test_embed_container_refuses_an_unwritable_geometry_before_converting(monkeypatch):
@@ -862,10 +895,19 @@ def test_the_payload_loop_builds_no_word_and_looks_up_the_encoder_once(rs31, bui
     assert blob == rssteg01_container(carrier, message, 5, 19, 2, 7)
 
     built.update(dict.fromkeys(built, 0))
-    word = unpack_container(blob).symbols[:rs31.n]
+    word = rssteg01_symbols(blob)[1][:rs31.n]
     assert extract(word, derive_positions(rs31, 5, 2), rs31).diagnostics.corrected
     assert built == {"Codeword": 2, "DecodeResult": 1, "ExtractResult": 1,
                      "build_cauchy": 1}
+
+
+def test_extract_container_builds_no_generator_without_a_whole_codeword(built):
+    """A header with no whole codeword after it decodes nothing, so it
+    builds no generator: at RS(65535,1) that build is quadratic in n - k and
+    would take minutes for a 25-byte file."""
+    blob = pack_container(16, 65535, 1, 0, 0, [0] * 4095)
+    assert extract_container(blob, 1) == (b"", b"", False)
+    assert built["build_cauchy"] == 0
 
 
 def _word_outcome(params, symbols):
@@ -883,14 +925,17 @@ def _word_outcome(params, symbols):
 @pytest.mark.parametrize("m, k, codewords, rounds", [
     (3, 3, 48, 12), (5, 19, 40, 12), (8, 223, 12, 8), (11, 2015, 5, 4),
 ], ids=["m3", "m5", "m8", "m11"])
-def test_extract_container_matches_the_oracle_on_damaged_files(m, k, codewords, rounds):
+def test_extract_container_matches_the_oracle_on_damaged_files(
+    monkeypatch, m, k, codewords, rounds
+):
     """Payload byte flips, codeword by codeword: none, a few single-bit
     flips (at most t - stego symbol errors, which always decode) or many
     random bytes (usually a failure).  The message fills the first half of
     the grid, so undamaged words past it are clean and undamaged words
     before it take the shortcut.  Every damaged file is read with the
     header's seed and a wrong one, and extract_container must equal the
-    per-codeword oracle both times."""
+    per-codeword oracle both times.  It wraps a word in a Codeword, to
+    correct it, exactly when the word is corrected in its data block."""
     params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
     n, t = params.n, params.t
     stego = 1 if t < 4 else 2
@@ -899,6 +944,13 @@ def test_extract_container_matches_the_oracle_on_damaged_files(m, k, codewords, 
     message = rnd.randbytes(codewords // 2 * stego * m // 8)
     blob = embed_container(params, carrier, message, 11, stego)[0]
     header, payload = blob[:HEADER_SIZE], blob[HEADER_SIZE:]
+    wrapped = []
+
+    def spy_of(params, symbols):
+        wrapped.append(symbols)
+        return Codeword._of(params, symbols)
+
+    monkeypatch.setattr(container_module, "Codeword", SimpleNamespace(_of=spy_of))
     outcomes = set()
     for _ in range(rounds):
         damaged = bytearray(payload)
@@ -914,11 +966,14 @@ def test_extract_container_matches_the_oracle_on_damaged_files(m, k, codewords, 
                 for pos in rnd.sample(span, min(2 * t + 1, len(span))):
                     damaged[pos] ^= rnd.randrange(1, 256)
         file = header + bytes(damaged)
-        symbols = unpack_container(file).symbols
-        outcomes.update(_word_outcome(params, symbols[i * n:(i + 1) * n])
-                        for i in range(codewords))
+        symbols = rssteg01_symbols(file)[1]
+        words = [_word_outcome(params, symbols[i * n:(i + 1) * n]) for i in range(codewords)]
+        outcomes.update(words)
         for seed in (None, 12):
+            wrapped.clear()
             assert extract_container(file, stego, seed) == rssteg01_extract(file, stego, seed)
+            assert wrapped == [symbols[i * n:(i + 1) * n]
+                               for i, word in enumerate(words) if word == "data"]
     assert outcomes == {"clean", "shortcut", "data", "failure"}
 
 

@@ -30,9 +30,8 @@ def test_draws_equal_repeated_below(seed, before, count, bound):
 
 @pytest.mark.parametrize("streams", [0, 1, 2, 3, 64, 1024])
 @settings(max_examples=100, deadline=None, derandomize=True)
-@given(data=st.data(), count=st.integers(0, 40), bound=BOUNDS)
-def test_many_stream_draws_equal_concatenated_draws(streams, data, count, bound):
-    states = data.draw(st.lists(st.integers(0, (1 << 64) - 1),
-                                min_size=streams, max_size=streams))
+@given(seed=st.integers(0, (1 << 64) - 1), count=st.integers(0, 40), bound=BOUNDS)
+def test_many_stream_draws_equal_concatenated_draws(streams, seed, count, bound):
+    states = SplitMix64(seed).draws(streams, 1 << 64)
     expected = [v for s in states for v in SplitMix64(s).draws(count, bound)]
     assert _draws(states, count, bound) == expected

@@ -1,10 +1,12 @@
 """Encoder/decoder contracts: Cauchy generator, syndromes, BM/Chien/Forney."""
 
 import random
+from collections import Counter
 from dataclasses import fields
+from fractions import Fraction
 import tracemalloc
 from itertools import combinations, product
-from math import comb
+from math import comb, sqrt
 
 import pytest
 
@@ -33,6 +35,8 @@ from oracles import (
     generator_poly,
     hamming_distance,
     hamming_weight,
+    mds_weights,
+    miscorrection_probability,
     parity_positions,
     remainder_encode,
     scalar_encode,
@@ -870,15 +874,27 @@ def test_decode_contract_beyond_t(m, k, miscorrects):
     assert miscorrections > 0 or not miscorrects
 
 
+def test_mds_weights_count_every_codeword(rs7):
+    """The MDS weight distribution sums to q^k for every geometry, and at
+    RS(7,3) it is the weight histogram of all 512 codewords."""
+    for m, k in ((3, 3), (4, 10), (5, 27), (8, 223)):
+        assert sum(mds_weights((1 << m) - 1, k, 1 << m)) == (1 << m) ** k
+    histogram = Counter(hamming_weight(encode(rs7, list(data)))
+                        for data in product(range(8), repeat=3))
+    assert mds_weights(7, 3, 8) == [histogram[w] for w in range(8)]
+
+
 @pytest.mark.parametrize("weight, successes", [(3, 42), (4, 588)])
 def test_decode_miscorrection_rate_beyond_t_is_exact(weight, successes):
     """Every error pattern of weight 3 and 4 on the zero codeword of RS(7,3),
     t = 2: on each support, exactly 42 of the 7^3 and 588 of the 7^4
-    patterns decode as a success, 6/49 and 12/49 overall.  RS codes are
-    MDS, so the miscorrection rate beyond t does not depend on where the
-    errors sit.  Each success is a codeword within t of the received word."""
+    patterns decode as a success, 6/49 and 12/49 overall, which is the
+    law of ``miscorrection_probability``.  RS codes are MDS, so the
+    miscorrection rate beyond t does not depend on where the errors sit.
+    Each success is a codeword within t of the received word."""
     params = CodeParams(field=GF2m(3), n=7, k=3)
     n, q, t = params.n, params.field.q, params.t
+    assert miscorrection_probability(params, weight) == Fraction(successes, 7 ** weight)
     for support in combinations(range(n), weight):
         count = 0
         for magnitudes in product(range(1, q), repeat=weight):
@@ -893,6 +909,36 @@ def test_decode_miscorrection_rate_beyond_t_is_exact(weight, successes):
             assert corrected == remainder_encode(params, result.corrected.data)
             assert hamming_distance(corrected, received) <= t
         assert count == successes, support
+
+
+def _wilson(successes, trials, z):
+    """The Wilson score interval of a binomial rate."""
+    rate, spread = successes / trials, z * z / trials
+    centre = (rate + spread / 2) / (1 + spread)
+    half = z / (1 + spread) * sqrt(rate * (1 - rate) / trials + spread / (4 * trials))
+    return centre - half, centre + half
+
+
+@pytest.mark.parametrize("m, k, excess, law", [
+    (5, 27, 1, 0.3933), (5, 27, 2, 0.4278), (8, 251, 1, 0.4864), (8, 251, 2, 0.4903),
+], ids=["rs31-t+1", "rs31-t+2", "rs255-t+1", "rs255-t+2"])
+def test_decode_miscorrection_rate_matches_the_law(m, k, excess, law):
+    """3,000 seeded patterns of weight t + 1 or t + 2 (t = 2), on uniform
+    positions with uniform nonzero magnitudes: the share that decodes as a
+    success lies inside the 99.9% Wilson interval around the exact law."""
+    params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
+    n, q, weight = params.n, params.field.q, params.t + excess
+    exact = miscorrection_probability(params, weight)
+    assert float(exact) == pytest.approx(law, abs=5e-5)
+    rnd = random.Random(f"miscorrection-{m}-{weight}")
+    trials, successes = 3000, 0
+    for _ in range(trials):
+        received = [0] * n
+        for pos in rnd.sample(range(n), weight):
+            received[pos] = rnd.randrange(1, q)
+        successes += not decode(params, received).failure
+    low, high = _wilson(successes, trials, 3.2905)
+    assert low <= exact <= high, successes
 
 
 def test_decode_flags_word_with_only_the_last_syndrome_nonzero(rs7):

@@ -24,13 +24,14 @@ from rsstego import (
     syndromes,
     unpack_container,
 )
-from rsstego.container import MAGIC, _keys, pack_symbols, unpack_symbols
+from rsstego.container import HEADER_SIZE, MAGIC, _keys, pack_symbols, unpack_symbols
 from oracles import (
     bitloop_pack_symbols,
     brute_force_decode,
     direct_syndromes,
     remainder_encode,
     rssteg01_keys,
+    rssteg01_symbols,
 )
 
 
@@ -179,9 +180,10 @@ def test_keys_agree_with_one_derive_positions_per_codeword(request):
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(container_blobs())
 def test_unpack_container_fuzz_keeps_the_extract_invariants(blob):
-    """Any bytes raise only the two header errors, or give a container that
-    ``extract_container`` can use as it is: a valid geometry, whole
-    codewords and m-bit symbols.  The whole extract at stego = 1, which the
+    """Any bytes raise only the two header errors, or give a header that
+    ``extract_container`` can use as it is: a valid geometry, and a payload
+    whose symbols are m-bit fields, the bigint read's for every whole
+    codeword.  The whole extract at stego = 1, which the
     t >= 1 of every accepted header allows, raises the same error for bytes
     the header check refuses; otherwise it returns the carrier, the message
     and a bool, or refuses a message longer than the payload."""
@@ -193,8 +195,11 @@ def test_unpack_container_fuzz_keeps_the_extract_invariants(blob):
         return
     assert cont.n == (1 << cont.m) - 1
     CodeParams(GF2m(cont.m), cont.n, cont.k)   # extract_container builds it
-    assert len(cont.symbols) % cont.n == 0
-    assert all(0 <= s < 1 << cont.m for s in cont.symbols)
+    _, expected = rssteg01_symbols(blob)
+    codewords = len(expected) // cont.n
+    received = unpack_symbols(blob[HEADER_SIZE:], cont.m)
+    assert received[:len(expected)] == expected
+    assert all(0 <= s < 1 << cont.m for s in received)
     try:
         carrier, message, failure = extract_container(blob, 1)
     except CorruptHeaderError as exc:
@@ -203,4 +208,4 @@ def test_unpack_container_fuzz_keeps_the_extract_invariants(blob):
     assert type(failure) is bool
     assert type(message) is bytes and len(message) == cont.message_len
     assert type(carrier) is bytes
-    assert len(carrier) == cont.num_codewords * cont.k * cont.m // 8
+    assert len(carrier) == codewords * cont.k * cont.m // 8
