@@ -34,12 +34,15 @@ the last one zero-padded.  With s message symbols per codeword:
   the end of the message hide nothing.
 
 That key rule is fixed.  ``_keys`` computes it in packed blocks of up to
-``_KEY_BLOCK`` codewords, with the same values: a block's forks are one
-run of ``SplitMix64(seed)`` draws, the first s draws of its full keys one
-many-stream pass (``rng._draws``), and ``derive_positions`` runs for a
-key whose first draws repeat a position, for the one partly filled key,
-and for every key when s^2 > n - k, where most keys repeat one.  A
-codeword past the message gets the empty key with no draw.
+``_KEY_BLOCK`` codewords, with the same values, and yields each key as a
+tuple of positions.  A block's forks are one run of ``SplitMix64(seed)``
+draws, and when s^2 <= n - k the first s draws of every key of the block,
+the partly filled last key's too, are one many-stream pass
+(``rng._draws``).  Every key takes one path: a key that hides c symbols
+is the first c draws of the pass when they are distinct, and else
+``derive_positions`` (always when s^2 > n - k, where most keys repeat a
+position and there is no pass).  A codeword past the message gets the
+empty key ``()`` with no draw.
 
 Both ends check every header field, s and the key seed before they
 convert a payload.  ``embed_container`` packs its header first, by
@@ -100,14 +103,13 @@ from dataclasses import dataclass
 from .galois import GF2m
 from .rng import GOLDEN, SplitMix64, _draws
 from .rs import CodeParams, Codeword, _codeword, _error_pattern, build_cauchy
-from .stego import StegoKey, _substitute, check_key_request, derive_positions
+from .stego import _substitute, check_key_request, derive_positions
 
 MAGIC = b"RSSTEG01"
 # Codewords per block of keys in ``_keys``.  A multiple of 8, so that the
 # carrier, message and payload of a block's codewords are whole bytes at
 # every m, and a pass over a block's keys stays bounded in memory.
 _KEY_BLOCK = 1024
-_NO_KEY = StegoKey(())
 _HEADER = struct.Struct(">8sBHHIQ")
 HEADER_SIZE = _HEADER.size
 
@@ -272,41 +274,38 @@ def _message_codewords(params: CodeParams, stego: int, seed: int, symbols: int) 
 
 
 def _keys(params: CodeParams, seed: int, stego: int, symbols: int, codewords: int):
-    """Codeword i's key, for i < codewords: where it hides the next
-    min(stego, remaining) of the message's ``symbols`` symbols, which is
-    ``derive_positions(params, fork(seed, i), count)``.
+    """Codeword i's key positions, for i < codewords: where it hides the
+    next count = min(stego, remaining) of the message's ``symbols``
+    symbols, which is ``derive_positions(params, fork(seed, i),
+    count).positions``.
 
     The keys come in blocks of at most ``_KEY_BLOCK`` codewords.  A block's
     forks are one stream's draws, since fork(seed, i) is draw i + 1 of
-    ``SplitMix64(seed)``.  The first ``stego`` draws of every key that
-    hides ``stego`` symbols are one many-stream pass, and a key whose
-    first draws are distinct is those draws.  That pass runs only when
+    ``SplitMix64(seed)``.  The first ``stego`` draws of every key of the
+    block are one many-stream pass.  ``derive_positions`` keeps the first
+    count distinct draws of its stream, so a key whose first count draws
+    are distinct is those draws, the partly filled last key included; any
+    other key comes from ``derive_positions``.  The pass runs only when
     stego^2 <= n - k: stego draws from n - k positions repeat one with
     probability below stego^2 / 2(n - k), so at least half the keys are
     expected to come straight from it, and a pass holds at most
-    ``_KEY_BLOCK`` * sqrt(n - k) lanes.  Every other carrying key, a key
-    with a repeated draw and the one partly filled key among them, comes
-    from ``derive_positions``.  Codewords past the message get the empty
-    key, with no fork and no draw."""
+    ``_KEY_BLOCK`` * sqrt(n - k) lanes.  Without it every key comes from
+    ``derive_positions``.  Codewords past the message get ``()``, with no
+    fork and no draw."""
     size = params.n_parity
     carrying = min(codewords, -(-symbols // stego) if symbols else 0)
-    packed = symbols // stego if symbols and stego * stego <= size else 0
     for start in range(0, carrying, _KEY_BLOCK):
         forks = SplitMix64(seed + start * GOLDEN).draws(
             min(_KEY_BLOCK, carrying - start), 1 << 64)
-        whole = forks[:max(0, packed - start)]
-        draws = iter(_draws(whole, stego, size))
-        # zip(*[draws] * stego) reads the draws stego at a time: one key each.
-        for key_seed, positions in zip(whole, zip(*[draws] * stego)):
-            if len(set(positions)) == stego:
-                yield StegoKey(positions)
-            else:
-                yield derive_positions(params, key_seed, stego)
-        for i in range(len(whole), len(forks)):
-            count = min(stego, symbols - (start + i) * stego)
-            yield derive_positions(params, forks[i], count)
+        draws = iter(_draws(forks, stego, size) if stego * stego <= size else ())
+        rows = zip(*[draws] * stego)   # the draws stego at a time: one key each
+        for i, key_seed in enumerate(forks, start):
+            count = min(stego, symbols - i * stego)
+            positions = next(rows, ())[:count]
+            yield (positions if len(set(positions)) == count
+                   else derive_positions(params, key_seed, count).positions)
     for _ in range(carrying, codewords):
-        yield _NO_KEY
+        yield ()
 
 
 def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
@@ -327,11 +326,11 @@ def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
     msg_syms = bytes_to_symbols(message, m)
     count = max(-(-len(data_syms) // k), needed)
     data_syms += [0] * (count * k - len(data_syms))
-    gen = build_cauchy(params)
+    gen = build_cauchy(params) if count else None
     payload: list[int] = []
-    for i, key in enumerate(_keys(params, seed, stego, len(msg_syms), count)):
+    for i, positions in enumerate(_keys(params, seed, stego, len(msg_syms), count)):
         word = _codeword(gen, data_syms[i * k:(i + 1) * k])
-        _substitute(word, key.positions, msg_syms[i * stego:(i + 1) * stego])
+        _substitute(word, positions, msg_syms[i * stego:(i + 1) * stego])
         payload += word
     return header + pack_symbols(payload, m), count, count * stego - len(msg_syms)
 
@@ -361,11 +360,11 @@ def extract_container(blob: bytes, stego: int,
     # A payload with no whole codeword needs no generator, whose build is
     # quadratic in n - k: seconds at RS(8191,1), minutes at RS(65535,1).
     n_parity, gen = params.n_parity, build_cauchy(params) if codewords else None
-    for i, key in enumerate(_keys(params, seed, stego, msg_count, codewords)):
+    for i, positions in enumerate(_keys(params, seed, stego, msg_count, codewords)):
         start = i * n
         data = received[start + n - 1:start + n_parity - 1:-1]   # d_0 first
         pattern = _error_pattern(params, gen, data, received[start:start + n_parity])
-        msg_syms += [received[start + p] for p in key.positions]
+        msg_syms += [received[start + p] for p in positions]
         if pattern is None:
             failure = True
         elif pattern and max(pattern) >= n_parity:   # only the syndrome path

@@ -49,7 +49,7 @@ DEFAULT_PRIMITIVE_POLY = MappingProxyType({
 
 
 class GF2m:
-    """The finite field GF(2^m), 2 <= m <= 16.
+    """The finite field GF(2^m), for an int m (not a bool) in [2, 16].
 
     The modulus is ``DEFAULT_PRIMITIVE_POLY[m]``, kept as ``primitive_poly``:
     an ``RSSTEG01`` container stores only m, so a word can be read back
@@ -62,8 +62,8 @@ class GF2m:
     __slots__ = ("m", "q", "primitive_poly", "_exp", "_log")
 
     def __init__(self, m: int):
-        if not 2 <= m <= 16:
-            raise ValueError(f"m must be in [2, 16], got {m}")
+        if type(m) is not int or not 2 <= m <= 16:
+            raise ValueError(f"m must be an int in [2, 16], got {m!r}")
         self.m = m
         self.q = 1 << m
         self.primitive_poly = poly = DEFAULT_PRIMITIVE_POLY[m]

@@ -167,13 +167,16 @@ class DegenerateParamsError(ValueError):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CodeParams:
-    """RS(n, k) geometry over a given field; n must equal q - 1."""
+    """RS(n, k) geometry over a given field; n and k must be ints (not
+    bools) and n must equal q - 1."""
 
     field: GF2m
     n: int
     k: int
 
     def __post_init__(self):
+        if type(self.n) is not int or type(self.k) is not int:
+            raise DegenerateParamsError(f"n and k must be ints, got {self.n!r}, {self.k!r}")
         if self.n != self.field.q - 1:
             raise DegenerateParamsError(
                 f"n must be q-1 = {self.field.q - 1}, got {self.n}"

@@ -388,10 +388,10 @@ def rssteg01_container(data, message, m, k, stego, seed):
     if remaining:
         count = max(count, -(-len(remaining) // stego))
     data_symbols += [0] * (count * k - len(data_symbols))
-    keys = rssteg01_keys(params, seed, stego, len(remaining), count)
     payload = []
-    for i, key in enumerate(keys):
+    for i in range(count):
         hidden, remaining = remaining[:stego], remaining[stego:]
+        key = derive_positions(params, fork(seed, i), len(hidden))
         clean = encode(params, data_symbols[i * k:(i + 1) * k])
         payload += embed(clean, key, hidden).symbols
     return pack_container(m, params.n, k, len(message), seed, payload)
@@ -434,11 +434,13 @@ def rssteg01_extract(blob, stego, seed=None):
 
 
 def rssteg01_keys(params, seed, stego, symbols, codewords):
-    """The README's key of each of ``codewords`` codewords, one scalar
-    ``derive_positions`` call each: codeword i hides the next min(stego,
-    remaining) of ``symbols`` message symbols at derive_positions(params,
-    fork(seed, i), count)."""
-    return [derive_positions(params, fork(seed, i), min(stego, max(0, symbols - i * stego)))
+    """The README's key positions of each of ``codewords`` codewords, one
+    scalar ``derive_positions`` call each: codeword i hides the next
+    min(stego, remaining) of ``symbols`` message symbols at
+    derive_positions(params, fork(seed, i), count).positions, which is
+    ``()`` past the message."""
+    return [derive_positions(params, fork(seed, i),
+                             min(stego, max(0, symbols - i * stego))).positions
             for i in range(codewords)]
 
 

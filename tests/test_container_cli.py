@@ -901,6 +901,15 @@ def test_the_payload_loop_builds_no_word_and_looks_up_the_encoder_once(rs31, bui
                      "build_cauchy": 1}
 
 
+def test_embed_container_builds_no_generator_for_an_empty_grid(rs31, built):
+    """No carrier and no message make a grid of no codeword, which needs no
+    generator: at RS(8191,1) its build alone takes seconds."""
+    blob, codewords, residual = embed_container(rs31, b"", b"", 0, 0)
+    assert (len(blob), codewords, residual) == (HEADER_SIZE, 0, 0)
+    assert built["build_cauchy"] == 0
+    assert extract_container(blob, 0) == (b"", b"", False)
+
+
 def test_extract_container_builds_no_generator_without_a_whole_codeword(built):
     """A header with no whole codeword after it decodes nothing, so it
     builds no generator: at RS(65535,1) that build is quadratic in n - k and
@@ -1021,14 +1030,51 @@ def test_keys_fall_back_for_a_repeated_first_draw(rs7, key_calls):
 
 @pytest.mark.parametrize("symbols", [1, 7, 599], ids=["one-symbol", "seven", "599"])
 def test_keys_for_a_message_that_ends_mid_codeword(rs7, key_calls, symbols):
-    """The last carrying key hides fewer than stego symbols, from
-    derive_positions with that count; the rest of the grid is empty."""
+    """The last carrying key hides fewer than stego symbols.  It rides in
+    the packed pass, and its one draw cannot repeat, so only full keys
+    with a repeated first draw call derive_positions; the rest of the grid
+    is empty."""
     forks = SplitMix64(5).draws(300, 1 << 64)
     keys = list(container_module._keys(rs7, 5, 2, symbols, 300))
     assert keys == rssteg01_keys(rs7, 5, 2, symbols, 300)
     last = symbols // 2
-    assert key_calls["derive"][-1] == (forks[last], 1)
-    assert [len(key.positions) for key in keys[last:]] == [1] + [0] * (299 - last)
+    assert key_calls["derive"] == [(s, 2) for s in forks[:last]
+                                   if _repeats_first_draw(rs7, s, 2)]
+    assert [len(key) for key in keys[last:]] == [1] + [0] * (299 - last)
+
+
+def test_keys_fall_back_for_a_partial_key_whose_prefix_repeats(rs31, key_calls):
+    """At RS(31,19) with stego 3 the pass draws 3 of 12 positions per key.
+    A last key that hides 2 symbols whose first 2 draws repeat is the one
+    partial key that calls derive_positions, with its own count."""
+    forks = SplitMix64(23).draws(400, 1 << 64)
+    last = next(i for i, s in enumerate(forks) if _repeats_first_draw(rs31, s, 2))
+    keys = list(container_module._keys(rs31, 23, 3, 3 * last + 2, last + 5))
+    assert keys == rssteg01_keys(rs31, 23, 3, 3 * last + 2, last + 5)
+    full = [(s, 3) for s in forks[:last] if _repeats_first_draw(rs31, s, 3)]
+    assert key_calls["derive"] == full + [(forks[last], 2)]
+
+
+@pytest.mark.parametrize("m, k, stego, symbols", [
+    (3, 3, 2, 81), (4, 9, 3, 121), (4, 9, 3, 122),
+], ids=["rs7-packed", "rs15-unpacked-1", "rs15-unpacked-2"])
+def test_keys_with_a_partial_key_on_both_sides_of_the_packing_threshold(
+    key_calls, m, k, stego, symbols
+):
+    """RS(7,3) at stego 2 has stego^2 = n - k, so its keys take the packed
+    pass.  RS(15,9) at stego 3 has 9 > 6, so every carrying key, the
+    partial one too, comes from derive_positions."""
+    params = CodeParams(field=GF2m(m), n=(1 << m) - 1, k=k)
+    keys = list(container_module._keys(params, 11, stego, symbols, 50))
+    assert keys == rssteg01_keys(params, 11, stego, symbols, 50)
+    carrying = -(-symbols // stego)
+    forks = SplitMix64(11).draws(carrying, 1 << 64)
+    if stego * stego <= params.n_parity:
+        assert key_calls["derive"] == [(s, stego) for s in forks[:-1]
+                                       if _repeats_first_draw(params, s, stego)]
+    else:
+        counts = [min(stego, symbols - i * stego) for i in range(carrying)]
+        assert key_calls["derive"] == list(zip(forks, counts))
 
 
 @pytest.mark.parametrize("symbols", [0, 10, 2 * 1025], ids=["empty", "5-codewords", "1025"])
@@ -1041,7 +1087,7 @@ def test_keys_past_the_message_take_no_fork_and_no_draw(rs31, key_calls, symbols
     carrying = symbols // 2
     assert sum(key_calls["forks"]) == carrying
     assert all(count > 0 for _, count in key_calls["derive"])
-    assert all(key.positions == () for key in keys[carrying:])
+    assert all(key == () for key in keys[carrying:])
 
 
 @pytest.mark.parametrize("codewords", [1, 1023, 1024, 1025, 2047, 2048, 2049])
@@ -1060,16 +1106,19 @@ def test_keys_across_block_boundaries(rs31, key_calls, codewords, stego):
 
 def test_keys_are_streamed_in_blocks(rs31):
     """Iterating the keys without keeping them holds one block at a time:
-    the peak is about the same at 10,000 and 200,000 codewords."""
-    def peak(codewords):
+    the peak is about the same at 10,000 and 200,000 codewords, for a
+    message that fills every codeword and for one that ends inside the
+    last, whose key rides in the last block's pass."""
+    def peak(codewords, short):
         tracemalloc.start()
         try:
-            for _ in container_module._keys(rs31, 3, 2, 2 * codewords, codewords):
+            for _ in container_module._keys(rs31, 3, 2, 2 * codewords - short, codewords):
                 pass
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
-    peak(10_000)   # warm the lane cache
-    small, large = peak(10_000), peak(200_000)
-    assert large < 1.5 * small
+    peak(10_000, 0)   # warm the lane cache
+    for short in (0, 1):
+        small, large = peak(10_000, short), peak(200_000, short)
+        assert large < 1.5 * small

@@ -31,6 +31,9 @@ def test_rejects_unsupported_m():
         GF2m(1)
     with pytest.raises(ValueError):
         GF2m(17)
+    for m in (5.0, True, "5"):
+        with pytest.raises(ValueError):
+            GF2m(m)
 
 
 @pytest.mark.parametrize("m", range(2, 17))

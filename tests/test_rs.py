@@ -78,13 +78,18 @@ def test_hamming_weight_of_xor():
 # ----------------------------------------------------------------------
 # geometry
 # ----------------------------------------------------------------------
-def test_params_validation(gf8):
+def test_params_validation(gf8, gf32):
     with pytest.raises(DegenerateParamsError):
         CodeParams(field=gf8, n=8, k=3)  # n != q - 1
     with pytest.raises(DegenerateParamsError):
         CodeParams(field=gf8, n=7, k=7)
     with pytest.raises(DegenerateParamsError):
         CodeParams(field=gf8, n=7, k=6)  # t = 0
+    # A geometry that is not exactly an int: 19.0 == 19 and hashes alike,
+    # so it would share the int geometry's generator cache entry.
+    for n, k in ((31, 19.0), (31.0, 19), (31, True), ("31", 19), (31, "19")):
+        with pytest.raises(DegenerateParamsError):
+            CodeParams(field=gf32, n=n, k=k)
 
 
 def test_layout_accessors(rs7):
