@@ -73,11 +73,10 @@ received symbols and keeps the data slice unless the pattern reaches the
 data block, which only the syndrome path can: then that word alone is
 wrapped by ``Codeword._of`` and corrected by ``Codeword._xor``, the one
 XOR of a pattern.  On a failure it keeps the received data and sets the
-failure flag, as ``extract`` would.  ``unpack_container`` reads the
-header alone, and ``Container`` holds its five fields.
-``pack_container`` writes a header and the symbols it is given; given
-none, it writes the header alone, which is how ``embed_container`` uses
-it.
+failure flag, as ``extract`` would.  ``pack_container`` writes the
+header alone and ``unpack_container`` reads it alone, and ``Container``
+holds its five fields.  The header's geometry rule is ``CodeParams``'
+rule with m >= 3 added (``_check_geometry``).
 ``rng.fork`` is the one seed derivation, and the RSSTEG01 keys above are
 one of its two fixed schemes (the experiment's, in ``harness``, is the
 other); fork(seed, i) is draw i + 1 of ``SplitMix64(seed)``, which is how
@@ -219,23 +218,22 @@ class Container:
 
 def _check_geometry(m: int, n: int, k: int, error: type[ValueError]) -> None:
     """The header rule that ``pack_container`` and ``unpack_container``
-    share: raise ``error`` unless 3 <= m <= 16, n = 2^m - 1 and
-    1 <= k <= n - 2, so that t = (n - k) // 2 >= 1."""
-    if not 3 <= m <= 16:
+    share: raise ``error`` unless ``CodeParams(GF2m(m), n, k)`` is a code,
+    with its own text, and m >= 3, the header's one bound of its own (the
+    padding argument above)."""
+    try:
+        CodeParams(GF2m(m), n, k)
+    except ValueError as exc:
+        raise error(str(exc)) from None
+    if m < 3:
         raise error(f"symbol width m={m} outside [3, 16]")
-    if n != (1 << m) - 1:
-        raise error(f"n={n} but 2^{m} - 1 = {(1 << m) - 1}")
-    if not 0 < k <= n - 2:
-        raise error(f"k={k} outside [1, {n - 2}]")
 
 
-def pack_container(
-    m: int, n: int, k: int, message_len: int, seed: int, symbols
-) -> bytes:
-    """The RSSTEG01 bytes: header, then the packed symbols.  A geometry
-    that ``unpack_container`` would refuse raises ``ValueError``, as do a
-    ``message_len`` that is not an int >= 0 and a seed that is not an int
-    (bools are refused); a negative seed is stored modulo 2^64."""
+def pack_container(m: int, n: int, k: int, message_len: int, seed: int) -> bytes:
+    """The 25-byte RSSTEG01 header, the bytes ``unpack_container`` reads.
+    A geometry that ``unpack_container`` would refuse raises ``ValueError``,
+    as do a ``message_len`` that is not an int >= 0 and a seed that is not
+    an int (bools are refused); a negative seed is stored modulo 2^64."""
     _check_geometry(m, n, k, ValueError)
     if type(message_len) is not int or message_len < 0:
         raise ValueError(f"message_len must be an int >= 0, got {message_len!r}")
@@ -243,8 +241,7 @@ def pack_container(
         raise ValueError(f"seed must be an int, got {seed!r}")
     if message_len > 0xFFFFFFFF:
         raise MessageTooLargeError(f"message of {message_len} bytes exceeds 2^32 - 1")
-    header = _HEADER.pack(MAGIC, m, n, k, message_len, seed & ((1 << 64) - 1))
-    return header + pack_symbols(symbols, m)
+    return _HEADER.pack(MAGIC, m, n, k, message_len, seed & ((1 << 64) - 1))
 
 
 def unpack_container(blob: bytes) -> Container:
@@ -320,7 +317,7 @@ def embed_container(params: CodeParams, data: bytes, message: bytes, seed: int,
     (``BudgetExceededError`` above t).  All of these come before the
     carrier or the message is converted."""
     m, k = params.field.m, params.k
-    header = pack_container(m, params.n, k, len(message), seed, ())
+    header = pack_container(m, params.n, k, len(message), seed)
     needed = _message_codewords(params, stego, seed, -(-len(message) * 8 // m))
     data_syms = bytes_to_symbols(data, m)
     msg_syms = bytes_to_symbols(message, m)

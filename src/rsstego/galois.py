@@ -8,7 +8,10 @@ modulus could not be read back.  Addition is XOR, written inline by callers
 (characteristic 2, so addition and subtraction coincide), and
 multiplication goes through log/antilog tables built from the primitive
 element alpha = x (the int 2).  The tables cost 3 * 2^m ints of memory,
-which is why m is capped at 16.
+which is why m is capped at 16.  They are a function of m, so ``_tables``
+builds them once per m and every ``GF2m(m)`` shares that pair: the cost is
+paid once per m in a process (at most 15 pairs, about 5 MB at m = 16), not
+once per field object.
 
 Nothing checks the moduli at run time; a test does, for every m.  If the
 powers alpha^0 .. alpha^(q-2) visit every nonzero residue exactly once, x
@@ -26,6 +29,7 @@ from it, and the benchmark counts its calls.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from types import MappingProxyType
 
 # The modulus of GF(2^m), one per degree: irreducible, with x primitive.
@@ -48,13 +52,31 @@ DEFAULT_PRIMITIVE_POLY = MappingProxyType({
 })
 
 
+@lru_cache(maxsize=len(DEFAULT_PRIMITIVE_POLY))
+def _tables(m: int) -> tuple[list[int], list[int]]:
+    """The exp and log tables of GF(2^m), built once per m and shared by
+    every ``GF2m(m)``, so nothing may write to them.  The exp table is
+    doubled, so a sum of two logs needs no modulo."""
+    q, poly = 1 << m, DEFAULT_PRIMITIVE_POLY[m]
+    exp, log = [0] * (q - 1), [0] * q
+    val = 1
+    for i in range(q - 1):
+        exp[i] = val
+        log[val] = i
+        val <<= 1
+        if val & q:
+            val ^= poly
+    return exp + exp, log
+
+
 class GF2m:
     """The finite field GF(2^m), for an int m (not a bool) in [2, 16].
 
     The modulus is ``DEFAULT_PRIMITIVE_POLY[m]``, kept as ``primitive_poly``:
     an ``RSSTEG01`` container stores only m, so a word can be read back
-    under one field per m.  A field is a function of m and compares and
-    hashes by m.  The modulus is not checked here.  A test checks that
+    under one field per m.  A field is a function of m: it compares and
+    hashes by m, and every field of one m shares one table pair
+    (``_tables``).  The modulus is not checked here.  A test checks that
     alpha = x has order q - 1 modulo it, so every nonzero residue is a
     power of x, hence a unit: the modulus is irreducible and primitive.
     """
@@ -66,21 +88,8 @@ class GF2m:
             raise ValueError(f"m must be an int in [2, 16], got {m!r}")
         self.m = m
         self.q = 1 << m
-        self.primitive_poly = poly = DEFAULT_PRIMITIVE_POLY[m]
-
-        # exp table doubled so a sum of two logs needs no modulo.
-        order = self.q - 1
-        exp = [0] * order
-        log = [0] * self.q
-        val = 1
-        for i in range(order):
-            exp[i] = val
-            log[val] = i
-            val <<= 1
-            if val & self.q:
-                val ^= poly
-        self._exp = exp + exp
-        self._log = log
+        self.primitive_poly = DEFAULT_PRIMITIVE_POLY[m]
+        self._exp, self._log = _tables(m)
 
     def __repr__(self) -> str:
         return f"GF2m(m={self.m}, primitive_poly=0x{self.primitive_poly:x})"

@@ -58,6 +58,10 @@ class ExperimentConfig:
     pool: str = "parity"
 
     def __post_init__(self):
+        if not isinstance(self.params, CodeParams):
+            raise ValueError(f"params must be a CodeParams, got {self.params!r}")
+        if not isinstance(self.channel, ChannelSpec):
+            raise ValueError(f"channel must be a ChannelSpec, got {self.channel!r}")
         check_key_request(self.params, self.stego_count, self.pool, "stego_count",
                           max_affected_symbols(self.channel, self.params.field.m))
         if type(self.trials) is not int or self.trials < 1:

@@ -15,6 +15,9 @@ The scheme, fixed here for interoperability:
   bound / 2^64.  A power-of-two bound up to 2^64 has none; every other
   bound used here is at most n*m = 1,048,560 < 2^20 (``single_bit`` at
   m = 16), so its bias is below 2^-44.
+* Seeds and fork indices are ints, not bools.  ``SplitMix64``, ``fork``
+  and ``mix64`` refuse anything else with ``ValueError`` where the value
+  enters; the draws themselves check nothing.
 
 The values are the contract, not the way they are computed.  Draw i of a
 stream seeded with s depends on s + i * GOLDEN alone, so
@@ -62,12 +65,18 @@ def _finalize(z: int, mask: int) -> int:
 
 
 def mix64(z: int) -> int:
-    """SplitMix64 finalizer: avalanche one 64-bit word."""
+    """SplitMix64 finalizer: avalanche one 64-bit word, an int (not a
+    bool)."""
+    if type(z) is not int:
+        raise ValueError(f"value must be an int, got {z!r}")
     return _finalize(z & MASK64, MASK64)
 
 
 def fork(seed: int, index: int) -> int:
-    """Seed for the index-th substream of ``seed`` (counter-based split)."""
+    """Seed for the index-th substream of ``seed`` (counter-based split);
+    both must be ints (not bools)."""
+    if type(seed) is not int or type(index) is not int:
+        raise ValueError(f"seed and index must each be an int, got {seed!r}, {index!r}")
     return _finalize((seed + (index + 1) * GOLDEN) & MASK64, MASK64)
 
 
@@ -123,11 +132,13 @@ def _bad_bound(bound) -> ValueError:
 
 
 class SplitMix64:
-    """Sequential SplitMix64 stream."""
+    """Sequential SplitMix64 stream, seeded with an int (not a bool)."""
 
     __slots__ = ("_state",)
 
     def __init__(self, seed: int):
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int, got {seed!r}")
         self._state = seed & MASK64
 
     def next_u64(self) -> int:

@@ -167,26 +167,27 @@ class DegenerateParamsError(ValueError):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class CodeParams:
-    """RS(n, k) geometry over a given field; n and k must be ints (not
-    bools) and n must equal q - 1."""
+    """RS(n, k) geometry over a given field: the field a ``GF2m``, n and k
+    ints (not bools), n = q - 1 and 0 < k <= n - 2, so that t >= 1.  This
+    is the one rule of which (m, n, k) is a code; the ``RSSTEG01`` header
+    takes it as it stands and adds only m >= 3."""
 
     field: GF2m
     n: int
     k: int
 
     def __post_init__(self):
+        if not isinstance(self.field, GF2m):
+            raise DegenerateParamsError(f"field must be a GF2m, got {self.field!r}")
         if type(self.n) is not int or type(self.k) is not int:
             raise DegenerateParamsError(f"n and k must be ints, got {self.n!r}, {self.k!r}")
         if self.n != self.field.q - 1:
             raise DegenerateParamsError(
                 f"n must be q-1 = {self.field.q - 1}, got {self.n}"
             )
-        if not 0 < self.k < self.n:
-            raise DegenerateParamsError(f"need 0 < k < n, got k={self.k}, n={self.n}")
-        if self.t < 1:
+        if not 0 < self.k <= self.n - 2:
             raise DegenerateParamsError(
-                f"RS({self.n},{self.k}) corrects t={self.t} < 1 symbols"
-            )
+                f"need 0 < k <= n - 2 (t >= 1), got k={self.k}, n={self.n}")
 
     @property
     def t(self) -> int:

@@ -394,7 +394,8 @@ def rssteg01_container(data, message, m, k, stego, seed):
         key = derive_positions(params, fork(seed, i), len(hidden))
         clean = encode(params, data_symbols[i * k:(i + 1) * k])
         payload += embed(clean, key, hidden).symbols
-    return pack_container(m, params.n, k, len(message), seed, payload)
+    return (pack_container(m, params.n, k, len(message), seed)
+            + bitloop_pack_symbols(payload, m))
 
 
 def rssteg01_symbols(blob):

@@ -30,6 +30,7 @@ from rsstego import (
     unpack_container,
 )
 from rsstego import container as container_module
+from rsstego import galois as galois_module
 from rsstego import rs as rs_module
 from rsstego import stego as stego_module
 from rsstego.container import (
@@ -111,7 +112,8 @@ def test_packers_match_bigint_reference(m):
 
 
 def test_container_header_roundtrip():
-    blob = pack_container(5, 31, 19, message_len=7, seed=12345, symbols=[1] * 62)
+    blob = (pack_container(5, 31, 19, message_len=7, seed=12345)
+            + pack_symbols([1] * 62, 5))
     cont = unpack_container(blob)
     assert cont == Container(m=5, n=31, k=19, message_len=7, seed=12345)
     assert rssteg01_symbols(blob) == (cont, [1] * 62)   # two whole codewords
@@ -123,7 +125,7 @@ def test_container_bad_magic():
 
 
 def test_container_truncated_header():
-    blob = pack_container(5, 31, 19, 0, 0, [])
+    blob = pack_container(5, 31, 19, 0, 0)
     with pytest.raises(CorruptHeaderError):
         unpack_container(blob[: HEADER_SIZE - 3])
 
@@ -137,7 +139,7 @@ def test_container_header_needs_two_parity_symbols(m):
     header = struct.pack(">8sBHHIQ", MAGIC, m, n, n - 1, 0, 0)
     with pytest.raises(CorruptHeaderError):
         unpack_container(header + pack_symbols([0] * n, m))
-    cont = unpack_container(pack_container(m, n, n - 2, 0, 0, [0] * n))
+    cont = unpack_container(pack_container(m, n, n - 2, 0, 0) + pack_symbols([0] * n, m))
     assert CodeParams(GF2m(m), cont.n, cont.k).t == 1
 
 
@@ -151,17 +153,62 @@ def test_container_header_needs_two_parity_symbols(m):
     (5, 31, 31),
     (5, 31, 0),
     (8, 255, 254),
-])
+    (5, 31.0, 19),      # not exactly ints: CodeParams refuses them, so the
+    (5, 31, 19.0),      # writer raises its ValueError, never struct.error
+    (5.0, 31, 19),      # or TypeError, and writes no k = 1 from True
+    ("5", 31, 19),
+    (3, 7, True),
+], ids=repr)
 def test_pack_container_refuses_what_unpack_refuses(m, n, k):
     """The writer and the reader share one header rule: every geometry the
     reader refuses, the writer refuses before packing anything."""
     with pytest.raises(ValueError) as raised:
-        pack_container(m, n, k, 0, 0, [])
+        pack_container(m, n, k, 0, 0)
     assert not isinstance(raised.value, CorruptHeaderError)
-    if n < 1 << 16:   # the reader refuses the same header
+    # the reader refuses the same header, where the header's ints can hold it
+    if all(type(v) is int for v in (m, n, k)) and n < 1 << 16:
         header = struct.pack(">8sBHHIQ", MAGIC, m % 256, n, k, 0, 0)
         with pytest.raises(CorruptHeaderError):
             unpack_container(header)
+
+
+@pytest.mark.parametrize("m", [0, 1, 2, 3, 5, 16, 17])
+def test_header_rule_is_the_code_rule_with_m_at_least_3(m):
+    """Differential check of the header's geometry rule at every edge of n
+    (q - 2, q - 1, q) and k (0, 1, n - 2, n - 1): the writer refuses
+    exactly when ``CodeParams(GF2m(m), n, k)`` raises or m < 3, and the
+    reader refuses exactly those of the headers that struct can pack."""
+    q = 1 << m
+    for n in (q - 2, q - 1, q):
+        for k in (0, 1, n - 2, n - 1):
+            try:
+                CodeParams(GF2m(m), n, k)
+                refused = m < 3
+            except ValueError:
+                refused = True
+            if refused:
+                with pytest.raises(ValueError) as raised:
+                    pack_container(m, n, k, 0, 0)
+                assert not isinstance(raised.value, CorruptHeaderError)
+            else:
+                header = pack_container(m, n, k, 0, 0)
+                assert unpack_container(header) == Container(m, n, k, 0, 0)
+            try:
+                header = struct.pack(">8sBHHIQ", MAGIC, m, n, k, 0, 0)
+            except struct.error:
+                continue
+            if refused:
+                with pytest.raises(CorruptHeaderError):
+                    unpack_container(header)
+            else:
+                assert unpack_container(header) == Container(m, n, k, 0, 0)
+
+
+def test_pack_container_writes_the_header_alone():
+    """pack_container returns exactly the bytes unpack_container reads."""
+    header = pack_container(5, 31, 19, 7, 12345)
+    assert header == struct.pack(">8sBHHIQ", MAGIC, 5, 31, 19, 7, 12345)
+    assert len(header) == HEADER_SIZE == 25
 
 
 @pytest.mark.parametrize("message_len, seed", [
@@ -177,19 +224,19 @@ def test_pack_container_refuses_a_bad_length_or_seed(message_len, seed):
     """message_len must be an int >= 0 and the seed an int, bools refused,
     with the ValueError every other bad argument gives."""
     with pytest.raises(ValueError) as raised:
-        pack_container(5, 31, 19, message_len, seed, [])
+        pack_container(5, 31, 19, message_len, seed)
     assert not isinstance(raised.value, MessageTooLargeError)
 
 
 def test_pack_container_length_bound_and_seed_mask():
     with pytest.raises(MessageTooLargeError):
-        pack_container(5, 31, 19, 1 << 32, 0, [])
-    cont = unpack_container(pack_container(5, 31, 19, (1 << 32) - 1, -1, []))
+        pack_container(5, 31, 19, 1 << 32, 0)
+    cont = unpack_container(pack_container(5, 31, 19, (1 << 32) - 1, -1))
     assert (cont.message_len, cont.seed) == ((1 << 32) - 1, (1 << 64) - 1)
 
 
 def test_container_inconsistent_geometry():
-    good = pack_container(5, 31, 19, 0, 0, [])
+    good = pack_container(5, 31, 19, 0, 0)
     bad = bytearray(good)
     bad[10] = 30  # n = 30 != 2^5 - 1
     with pytest.raises(CorruptHeaderError):
@@ -390,7 +437,8 @@ def test_cli_flipped_symbol_still_roundtrips(workdir, capsys):
     cont, symbols = rssteg01_symbols(container.read_bytes())
     symbols[cont.n - 1] ^= 9  # corrupt a data-block symbol of codeword 0
     container.write_bytes(
-        pack_container(cont.m, cont.n, cont.k, cont.message_len, cont.seed, symbols)
+        pack_container(cont.m, cont.n, cont.k, cont.message_len, cont.seed)
+        + pack_symbols(symbols, cont.m)
     )
     rc = main([
         "extract", str(container),
@@ -440,7 +488,7 @@ def test_cli_decode_failure_exit_code(workdir, rs31, capsys):
     for pos, d in zip(positions, deltas):
         symbols[pos] ^= d
     container = workdir / "broken.rss"
-    container.write_bytes(pack_container(5, 31, 19, 1, 0, symbols))
+    container.write_bytes(pack_container(5, 31, 19, 1, 0) + pack_symbols(symbols, 5))
     rc = main([
         "extract", str(container),
         "--out-data", str(workdir / "data.out"),
@@ -685,7 +733,7 @@ def test_cli_extract_never_raises_on_malformed_containers(workdir, capsys):
 
 # One RS(31,19) codeword whose header claims 8 message bytes: 13 symbols,
 # which need 7 codewords at 2 per codeword.
-_ONE_CODEWORD = pack_container(5, 31, 19, 8, 0, [0] * 31)
+_ONE_CODEWORD = pack_container(5, 31, 19, 8, 0) + pack_symbols([0] * 31, 5)
 
 
 def _extract_one(stego, seed=None):
@@ -799,7 +847,7 @@ def test_embed_container_refuses_an_unwritable_geometry_before_converting(monkey
     with pytest.raises(ValueError, match=r"^symbol width m=2 outside \[3, 16\]$"):
         embed_container(rs3, bytes(1024), b"", 0, 0)
     with pytest.raises(ValueError, match=r"^symbol width m=2 outside \[3, 16\]$"):
-        pack_container(2, 3, 1, 0, 0, [])
+        pack_container(2, 3, 1, 0, 0)
     assert converted == []
 
 
@@ -914,9 +962,20 @@ def test_extract_container_builds_no_generator_without_a_whole_codeword(built):
     """A header with no whole codeword after it decodes nothing, so it
     builds no generator: at RS(65535,1) that build is quadratic in n - k and
     would take minutes for a 25-byte file."""
-    blob = pack_container(16, 65535, 1, 0, 0, [0] * 4095)
+    blob = pack_container(16, 65535, 1, 0, 0) + pack_symbols([0] * 4095, 16)
     assert extract_container(blob, 1) == (b"", b"", False)
     assert built["build_cauchy"] == 0
+
+
+def test_extract_container_builds_the_field_tables_once_per_m():
+    """Every GF2m(m) shares one table pair, so reading an m = 16 header a
+    second time builds no exp or log table."""
+    blob = pack_container(16, 65535, 1, 0, 0)
+    extract_container(blob, 1)
+    misses = galois_module._tables.cache_info().misses
+    for _ in range(2):
+        assert extract_container(blob, 1) == (b"", b"", False)
+    assert galois_module._tables.cache_info().misses == misses
 
 
 def _word_outcome(params, symbols):

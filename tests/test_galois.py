@@ -5,6 +5,7 @@ import random
 import pytest
 
 from rsstego import DEFAULT_PRIMITIVE_POLY, CodeParams, GF2m, encode
+from rsstego import galois as galois_module
 from oracles import alpha_pow, gf2_is_irreducible_oracle, inverse, powers_of_x
 
 
@@ -51,6 +52,15 @@ def test_all_default_polys_valid(m):
     assert set(powers) == set(range(1, f.q))   # q - 1 distinct powers
     if m <= 8:   # the factor search costs about m * 2^m products
         assert gf2_is_irreducible_oracle(f.primitive_poly, m)
+
+
+@pytest.mark.parametrize("m", range(2, 17))
+def test_fields_of_one_m_share_one_table_pair(m):
+    """The tables are a function of m, built once per m: a second GF2m(m)
+    reuses them rather than building its own."""
+    assert GF2m(m)._exp is GF2m(m)._exp
+    assert GF2m(m)._log is GF2m(m)._log
+    assert galois_module._tables.cache_info().maxsize == 15
 
 
 def test_modulus_table_is_read_only():

@@ -197,14 +197,21 @@ def test_pool_any_spreads_over_whole_codeword(rs31):
 
 
 def test_config_rejects_trials_and_seeds_that_cannot_run(rs31):
-    """A report needs at least one trial, and the seeds fork from an int:
-    both are refused at construction, not in the first trial."""
+    """A report needs at least one trial, the seeds fork from an int, and
+    the geometry and the channel must be a CodeParams and a ChannelSpec:
+    all are refused at construction, not in the first trial."""
     for trials in (0, -1, 2.5, 1.0, True, "3"):
         with pytest.raises(ValueError, match="trials must be an int >= 1"):
             _single(rs31, trials=trials)
     for seed in (1.5, 1.0, True, None, "0"):
         with pytest.raises(ValueError, match="master_seed must be an int"):
             _single(rs31, master_seed=seed)
+    for params in (None, rs31.field, (31, 19)):
+        with pytest.raises(ValueError, match="params must be a CodeParams"):
+            _single(rs31, params=params)
+    for channel in (None, "burst"):
+        with pytest.raises(ValueError, match="channel must be a ChannelSpec"):
+            _single(rs31, channel=channel)
     report = run_experiment(_single(rs31, trials=1, master_seed=-1))
     assert (report.trials, report.pct_decoded_info) == (1, 100.0)
 

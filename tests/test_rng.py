@@ -2,8 +2,10 @@
 
 import pytest
 
-from rsstego import SplitMix64, fork, mix64
+from rsstego import ChannelSpec, ExperimentConfig, SplitMix64, derive_positions, encode, fork, mix64
 from rsstego import rng as rng_module
+from rsstego.channel import apply_noise
+from rsstego.harness import run_trial
 from rsstego.rng import GOLDEN
 
 
@@ -67,3 +69,18 @@ def test_draws_refuse_a_bad_bound_or_count():
         with pytest.raises(ValueError, match="count must be an int >= 0"):
             rng.draws(count, 8)
     assert rng.next_u64() == 0xE220A8397B1DCDAF   # nothing was drawn
+
+
+@pytest.mark.parametrize("bad", [1.5, True, "1", None], ids=repr)
+def test_a_seed_that_is_not_an_int_is_refused_where_it_enters(bad, rs31):
+    """Seeds and fork indices are ints, bools refused, with the ValueError
+    of every other bad argument: at ``SplitMix64``, ``fork`` and ``mix64``,
+    and so at every library call that seeds a stream."""
+    word = encode(rs31, [0] * rs31.k)
+    config = ExperimentConfig(params=rs31, trials=1)
+    for call in (lambda: SplitMix64(bad), lambda: fork(bad, 0), lambda: fork(0, bad),
+                 lambda: mix64(bad), lambda: derive_positions(rs31, bad, 2),
+                 lambda: apply_noise(word, ChannelSpec(mode="single_symbol"), bad),
+                 lambda: run_trial(config, bad)):
+        with pytest.raises(ValueError, match="must (each )?be an int"):
+            call()

@@ -90,6 +90,10 @@ def test_params_validation(gf8, gf32):
     for n, k in ((31, 19.0), (31.0, 19), (31, True), ("31", 19), (31, "19")):
         with pytest.raises(DegenerateParamsError):
             CodeParams(field=gf32, n=n, k=k)
+    # A field that is not a GF2m has no q to check n against.
+    for field in (None, 5, "GF(32)"):
+        with pytest.raises(DegenerateParamsError, match="field must be a GF2m"):
+            CodeParams(field=field, n=31, k=19)
 
 
 def test_layout_accessors(rs7):
