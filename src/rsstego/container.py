@@ -35,13 +35,13 @@ the last one zero-padded.  With s message symbols per codeword:
 
 That key rule is fixed.  ``_keys`` computes it in packed blocks of up to
 ``_KEY_BLOCK`` codewords, with the same values, and yields each key as a
-tuple of positions.  A block's forks are one run of ``SplitMix64(seed)``
-draws, and when s^2 <= n - k the first s draws of every key of the block,
-the partly filled last key's too, are one many-stream pass
-(``rng._draws``).  Every key takes one path: a key that hides c symbols
-is the first c draws of the pass when they are distinct, and else
-``derive_positions`` (always when s^2 > n - k, where most keys repeat a
-position and there is no pass).  A codeword past the message gets the
+tuple of positions.  Each block's forks are the next draws of one
+``SplitMix64(seed)`` stream, and when s^2 <= n - k the first s draws of
+every key of the block, the partly filled last key's too, are one
+many-stream pass (``rng._draws``).  Every key takes one path: a key that
+hides c symbols is the first c draws of the pass when they are distinct,
+and else ``derive_positions`` (always when s^2 > n - k, where most keys
+repeat a position and there is no pass).  A codeword past the message gets the
 empty key ``()`` with no draw.
 
 Both ends check every header field, s and the key seed before they
@@ -100,7 +100,7 @@ import struct
 from dataclasses import dataclass
 
 from .galois import GF2m
-from .rng import GOLDEN, SplitMix64, _draws
+from .rng import SplitMix64, _draws
 from .rs import CodeParams, Codeword, _codeword, _error_pattern, build_cauchy
 from .stego import _substitute, check_key_request, derive_positions
 
@@ -276,13 +276,13 @@ def _keys(params: CodeParams, seed: int, stego: int, symbols: int, codewords: in
     symbols, which is ``derive_positions(params, fork(seed, i),
     count).positions``.
 
-    The keys come in blocks of at most ``_KEY_BLOCK`` codewords.  A block's
-    forks are one stream's draws, since fork(seed, i) is draw i + 1 of
-    ``SplitMix64(seed)``.  The first ``stego`` draws of every key of the
-    block are one many-stream pass.  ``derive_positions`` keeps the first
-    count distinct draws of its stream, so a key whose first count draws
-    are distinct is those draws, the partly filled last key included; any
-    other key comes from ``derive_positions``.  The pass runs only when
+    The keys come in blocks of at most ``_KEY_BLOCK`` codewords.  Every
+    block's forks are the next draws of one ``SplitMix64(seed)`` stream,
+    since fork(seed, i) is its draw i + 1.  The first ``stego`` draws of
+    every key of the block are one many-stream pass.  ``derive_positions``
+    keeps the first count distinct draws of its stream, so a key whose
+    first count draws are distinct is those draws, the partly filled last
+    key included; any other key comes from ``derive_positions``.  The pass runs only when
     stego^2 <= n - k: stego draws from n - k positions repeat one with
     probability below stego^2 / 2(n - k), so at least half the keys are
     expected to come straight from it, and a pass holds at most
@@ -291,9 +291,9 @@ def _keys(params: CodeParams, seed: int, stego: int, symbols: int, codewords: in
     fork and no draw."""
     size = params.n_parity
     carrying = min(codewords, -(-symbols // stego) if symbols else 0)
+    stream = SplitMix64(seed)
     for start in range(0, carrying, _KEY_BLOCK):
-        forks = SplitMix64(seed + start * GOLDEN).draws(
-            min(_KEY_BLOCK, carrying - start), 1 << 64)
+        forks = stream.draws(min(_KEY_BLOCK, carrying - start), 1 << 64)
         draws = iter(_draws(forks, stego, size) if stego * stego <= size else ())
         rows = zip(*[draws] * stego)   # the draws stego at a time: one key each
         for i, key_seed in enumerate(forks, start):

@@ -101,15 +101,16 @@ returns the received word itself and an empty pattern.
 
 The syndrome path runs in the log domain, without ``GF2m.mul``: a
 product is one lookup in the doubled exp table at the sum of two logs.
-Syndromes are linear and vanish on codewords, so S_j(r) = S_j(e): they
-come from the parity remainder e_0 .. e_(n-k-1).  ``_remainder`` is the
-one place that computes it, for ``_error_pattern`` and ``syndromes``
-alike: the LFSR register of the re-encoded data block XOR the received
-parity block packed into the same lanes, one int XOR, read back as n - k
-lanes.  ``syndromes`` skips it for a word whose data block is all zero,
-since zero data re-encodes to zero parity.  The syndrome path hands
-``syndromes`` the word e, whose data block is zero, so a decode
-re-encodes exactly once.
+``syndromes`` takes the power sums S_j = r(alpha^j) by their definition,
+over the received word's own nonzero symbols, whose positions
+``itertools.compress`` picks out in C; it re-encodes nothing and looks up
+no generator.  Syndromes are linear and vanish on codewords, so
+S_j(r) = S_j(e) for the error word e = r + c of the re-encode above, and
+the syndrome path hands ``syndromes`` that word, whose data block is zero:
+a decode re-encodes exactly once, in ``_error_pattern``, which computes
+the parity remainder e_0 .. e_(n-k-1) as the LFSR register of the
+re-encoded data block XOR the received parity block packed into the same
+lanes, one int XOR, read back as n - k lanes.
 
 Both the syndromes and the Chien scan evaluate a sparse polynomial, given
 as log terms (log c, j), at the points alpha^1 .. alpha^count, and both go
@@ -119,20 +120,20 @@ exp[log c + j*s] = run[log c + j*s], where the "exp run" is exp[0 .. n)
 repeated: for s = 1 .. count that is one strided slice,
 run[log c + j : log c + j + j*count : j].  Each slice becomes an int with
 ``int.from_bytes``, the ints are XORed, and the lanes are read back once;
-a constant term is its value repeated.  The syndromes take the
-remainder's terms (log e_i, i) with count n - k.  The Chien scan takes the
-locator's terms (log c_j, j) with count n: alpha^s = alpha^-(n-s), so lane
-s - 1 stands for position n - s, which is in error iff the lane is zero.
-The furthest lane read is log c + j*count, and with log c < n, i < n-k
-and j <= t it lies below n + max((n-k-1)(n-k), t*n), the run's length:
-217 lanes at RS(31,19), 4,335 at RS(255,223) and 34,799 at RS(2047,2015),
-never more than the q (n-k) lanes of the encoder's table.  A lane is one
-byte of a ``bytes`` run when m <= 8 and one item of an ``array('H')`` run
-when m > 8, the encoder's 8/16 split (a ``bytes`` slice converts a little
-faster than an ``array('B')`` one).  The run is built by the first
-``syndromes`` call of a geometry and cached like the encoder but apart
-from it, so ``build_cauchy`` and the words that never reach the syndrome
-path do not pay for it.
+a constant term is its value repeated.  The syndromes take the word's
+terms (log r_i, i) with count n - k.  The Chien scan takes the locator's
+terms (log c_j, j) with count n: alpha^s = alpha^-(n-s), so lane s - 1
+stands for position n - s, which is in error iff the lane is zero.  The
+furthest lane read is log c + j*count, and with log c < n, i < n and
+j <= t <= n - k it lies below n (n - k + 1): the run is exp[0 .. n)
+repeated n - k + 1 times, 403 lanes at RS(31,19), 8,415 at RS(255,223)
+and 67,551 at RS(2047,2015), k lanes more than the q (n-k) lanes of the
+encoder's table.  A lane is one byte of a ``bytes`` run when m <= 8 and
+one item of an ``array('H')`` run when m > 8, the encoder's 8/16 split (a
+``bytes`` slice converts a little faster than an ``array('B')`` one).  The
+run is built by the first ``syndromes`` call of a geometry and cached like
+the encoder but apart from it, so ``build_cauchy`` and the words that
+never reach the syndrome path do not pay for it.
 
 Berlekamp-Massey keeps the locator as values and adds the log of a
 coefficient to the log of a syndrome, or of the scale disc / prev_disc,
@@ -148,6 +149,7 @@ import struct
 from array import array
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
+from itertools import compress
 from operator import index
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -406,54 +408,32 @@ def _received(params: CodeParams, received) -> Codeword:
 def syndromes(params: CodeParams, received) -> list[int]:
     """S_j = v(alpha^j) for j = 1 .. n-k; all zero iff v is a codeword.
 
-    Computed from the parity remainder (see the module docstring): the data
-    block is re-encoded and its parity XORed into the received parity.  A
-    word whose data block is all zero is its own remainder and skips the
-    re-encode.  A ``Codeword`` of this geometry is not checked again.  A
+    The power sums by their definition: the received word's own nonzero
+    symbols are its log terms (log v_i, i), evaluated at alpha^1 ..
+    alpha^(n-k) by ``_evaluate``, with no re-encode (see the module
+    docstring).  A ``Codeword`` of this geometry is not checked again.  A
     raw sequence, or a ``Codeword`` of another geometry, is checked like a
     new ``Codeword``: the wrong length raises ``LengthMismatchError`` and a
     symbol that is not an integer in [0, q) ``ValueError``.
     """
-    word = _received(params, received)
-    data, remainder = word.data, word.symbols[:params.n_parity]
-    if any(data):   # zero data re-encodes to zero parity
-        remainder = _remainder(build_cauchy(params), data, remainder)
+    symbols = _received(params, received).symbols
     log = params.field._log
-    terms = [(log[e], i) for i, e in enumerate(remainder) if e]
+    terms = [(log[symbols[i]], i) for i in compress(range(params.n), symbols)]
     return list(_evaluate(params, terms, params.n_parity))
-
-
-def _remainder(gen: CauchyGenerator, data: Sequence[int],
-               parity: Sequence[int]) -> tuple[int, ...]:
-    """The parity remainder e_0 .. e_(n-k-1) of a received word, from its
-    data block (d_0 first) and its parity block (position order): the
-    re-encoded parity XOR the received parity, as one packed int.  So
-    e = r + c for the re-encoded codeword c, and e is zero on the data
-    positions."""
-    lanes = gen.lanes
-    rem = _parity(gen, data) ^ int.from_bytes(lanes.pack(*parity), "big")
-    return lanes.unpack(rem.to_bytes(lanes.size, "big"))
 
 
 @lru_cache(maxsize=CAUCHY_CACHE_SIZE)
 def _exp_run(params: CodeParams) -> bytes | array:
-    """exp[0 .. n) repeated over n + max((n-k-1)(n-k), t*n) lanes, one byte
-    each when m <= 8 and an ``array('H')`` lane when m > 8.
+    """exp[0 .. n) repeated n - k + 1 times, n (n-k+1) lanes, one byte each
+    when m <= 8 and an ``array('H')`` lane when m > 8.
 
-    ``_evaluate`` reads exp[l + j*s] with l < n, for s <= n-k at j < n-k
+    ``_evaluate`` reads exp[l + j*s] with l < n, for s <= n-k at j < n
     (syndromes) and for s <= n at j <= t (the Chien scan): all fall inside
     it.  Built by the first ``syndromes`` call of a geometry, never by
     ``build_cauchy``.
     """
-    n, n_parity = params.n, params.n_parity
-    size = n + max((n_parity - 1) * n_parity, params.t * n)
-    exp = params.field._exp[:n]
-    reps = -(-size // n)
-    if params.field.m <= 8:
-        return (bytes(exp) * reps)[:size]
-    run = array("H", exp) * reps
-    del run[size:]
-    return run
+    exp = params.field._exp[:params.n]
+    return (bytes(exp) if params.field.m <= 8 else array("H", exp)) * (params.n_parity + 1)
 
 
 def _evaluate(params: CodeParams, terms: Iterable, count: int) -> bytes | array:
@@ -574,8 +554,11 @@ def _error_pattern(params: CodeParams, gen: CauchyGenerator, data: Sequence[int]
     pattern, position -> nonzero magnitude in ascending position order, or
     None when decoding fails.  The data block is re-encoded once; up to t
     nonzero remainder lanes are the pattern (the re-encoding shortcut), and
-    more go to the syndrome path."""
-    error = _remainder(gen, data, parity)   # e = r + c; 0 on the data
+    more go to the syndrome path.  The remainder is the re-encoded parity
+    XOR the received parity, one XOR of packed ints (module docstring)."""
+    lanes = gen.lanes
+    rem = _parity(gen, data) ^ int.from_bytes(lanes.pack(*parity), "big")
+    error = lanes.unpack(rem.to_bytes(lanes.size, "big"))   # e = r + c; 0 on the data
     pattern = {i: e for i, e in enumerate(error) if e}
     if len(pattern) <= params.t:
         return pattern

@@ -88,8 +88,10 @@ class StegoKey:
 
 
 def check_key(params: CodeParams, key: StegoKey) -> None:
-    """Raise unless the key's positions are distinct ints in [0, n) and
-    stay within the stego budget."""
+    """Raise unless the key is a ``StegoKey`` whose positions are distinct
+    ints in [0, n) and stay within the stego budget."""
+    if not isinstance(key, StegoKey):
+        raise ValueError(f"key must be a StegoKey, got {key!r}")
     for pos in key.positions:
         if type(pos) is not int or not 0 <= pos < params.n:
             raise ValueError(f"position {pos!r} is not an int in [0, {params.n})")
@@ -130,11 +132,11 @@ def embed(clean: Codeword, key: StegoKey, message: SecretMessage) -> Codeword:
     symbol per key position (else ``LengthMismatchError``), each an integer
     in [0, q) (else ``ValueError``).
     """
-    params, positions = clean.params, key.positions
+    params = clean.params
     check_key(params, key)
-    message = _field_symbols(message, len(positions), params.field.q, "message symbol")
+    message = _field_symbols(message, len(key.positions), params.field.q, "message symbol")
     symbols = clean.symbols.copy()
-    _substitute(symbols, positions, message)
+    _substitute(symbols, key.positions, message)
     return Codeword._of(params, symbols)
 
 

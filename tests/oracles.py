@@ -19,12 +19,13 @@ codeword layout is stated position by position, the Hamming metric lives
 here because only tests use it, the expected ``%DS_M`` of a channel is an
 exact sum over its noise events, and the miscorrection probability of a
 bounded-distance decoder is an exact sum over the MDS weight distribution.
+``wilson_interval`` is the one interval that seeded rates are held to.
 """
 
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb
+from math import comb, sqrt
 from typing import Iterable, Sequence
 
 from rsstego import (
@@ -524,3 +525,16 @@ def expected_pct_decoded_secret(params, channel, pool):
         for p, affected in _noise_events(params, channel)
     )
     return 100 * (1 - lost / len(pool_positions))
+
+
+# ----------------------------------------------------------------------
+# interval estimates
+# ----------------------------------------------------------------------
+def wilson_interval(successes, trials, z):
+    """The Wilson score interval of a binomial rate, successes / trials, at
+    the normal quantile z (Wilson 1927).  ``successes`` may be a mean of
+    values in [0, 1] times ``trials``."""
+    rate, spread = successes / trials, z * z / trials
+    centre = (rate + spread / 2) / (1 + spread)
+    half = z / (1 + spread) * sqrt(rate * (1 - rate) / trials + spread / (4 * trials))
+    return centre - half, centre + half

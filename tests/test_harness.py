@@ -1,7 +1,5 @@
 """Experiment pipeline: per-trial behavior, aggregation, CSV export."""
 
-import math
-
 import pytest
 
 from rsstego import (
@@ -15,7 +13,7 @@ from rsstego import (
     run_experiment,
     run_trial,
 )
-from oracles import expected_pct_decoded_secret
+from oracles import expected_pct_decoded_secret, wilson_interval
 
 CHI2_999_DF30 = 59.7031
 Z_999 = 3.2905  # two-sided 99.9% normal quantile
@@ -148,15 +146,6 @@ def test_single_mode_secret_rate_in_band(rs31):
     assert report.pct_decoded_secret_trials <= report.pct_decoded_secret
 
 
-def _wilson(mean: float, n: int) -> tuple[float, float]:
-    """99.9% Wilson score interval for a mean of n independent values in [0, 1]."""
-    z = Z_999
-    denom = 1 + z * z / n
-    centre = (mean + z * z / (2 * n)) / denom
-    half = z / denom * math.sqrt(mean * (1 - mean) / n + z * z / (4 * n * n))
-    return centre - half, centre + half
-
-
 @pytest.mark.parametrize("pool", ["parity", "any"])
 @pytest.mark.parametrize("mode", ["single_symbol", "single_bit", "burst"])
 def test_secret_rate_matches_exact_expectation(rs31, mode, pool):
@@ -167,7 +156,7 @@ def test_secret_rate_matches_exact_expectation(rs31, mode, pool):
     report = run_experiment(_single(rs31, channel=channel, pool=pool,
                                     trials=trials, master_seed=11))
     assert report.pct_decoded_info == 100.0
-    low, high = _wilson(report.pct_decoded_secret / 100, trials)
+    low, high = wilson_interval(report.pct_decoded_secret / 100 * trials, trials, Z_999)
     exact = expected_pct_decoded_secret(rs31, channel, pool) / 100
     assert low <= exact <= high
 

@@ -6,7 +6,7 @@ from dataclasses import fields
 from fractions import Fraction
 import tracemalloc
 from itertools import combinations, product
-from math import comb, sqrt
+from math import comb
 
 import pytest
 
@@ -40,6 +40,7 @@ from oracles import (
     parity_positions,
     remainder_encode,
     scalar_encode,
+    wilson_interval,
 )
 
 
@@ -505,8 +506,8 @@ def test_decode_parity_only_errors_skip_syndrome_decoding(rs31, monkeypatch):
 
 def test_decode_syndrome_path_calls_syndromes_and_parity_once(rs31, monkeypatch):
     """The slow path still goes through the public ``syndromes`` and still
-    re-encodes only once: ``syndromes`` gets the error word, whose data
-    block is zero."""
+    re-encodes only once: ``_error_pattern`` re-encodes the data block, and
+    ``syndromes`` evaluates the error word's own terms with no re-encode."""
     word = encode(rs31, list(range(19)))
     synd_calls = _counting(monkeypatch, rs, "syndromes")
     parity_calls = _counting(monkeypatch, rs, "_parity")
@@ -520,19 +521,22 @@ def test_decode_syndrome_path_calls_syndromes_and_parity_once(rs31, monkeypatch)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
-def test_syndromes_of_zero_data_words_skip_the_re_encode(m, monkeypatch):
-    """Zero data re-encodes to zero parity, so the parity block is the
-    remainder; the syndromes still equal the literal power sums."""
+def test_syndromes_never_re_encode(m, monkeypatch):
+    """``syndromes`` sums the received word's own terms: no ``_parity`` and
+    no ``build_cauchy`` call, for words with zero data and words with data,
+    and the syndromes still equal the literal power sums."""
     n = (1 << m) - 1
     params = CodeParams(field=GF2m(m), n=n, k=max(1, n - 2 * m))
     parity_calls = _counting(monkeypatch, rs, "_parity")
+    cauchy_calls = _counting(monkeypatch, rs, "build_cauchy")
     rnd = random.Random(80 + m)
     q = params.field.q
     for _ in range(5):
-        received = [rnd.randrange(1, q) for _ in range(params.n_parity)]
-        received += [0] * params.k
-        assert syndromes(params, received) == direct_syndromes(params, received)
-    assert parity_calls == []
+        parity = [rnd.randrange(1, q) for _ in range(params.n_parity)]
+        for data in ([0] * params.k, [rnd.randrange(q) for _ in range(params.k)]):
+            received = parity + data
+            assert syndromes(params, received) == direct_syndromes(params, received)
+    assert (parity_calls, cauchy_calls) == ([], [])
 
 
 @pytest.mark.parametrize("k", [3, 9, 11])
@@ -693,14 +697,21 @@ EXP_RUN_GEOMETRIES = [(4, 3), (8, 223), (9, 5), (11, 2015)]
 def test_exp_run_reaches_the_last_syndrome_and_chien_terms(m, k):
     """A slice that runs past the end of the exp run comes back short without
     an error, so the terms that reach furthest into it are pinned: the
-    remainder's top term i = n-k-1 with log e = n-1, and a locator term of
-    degree j = t with log c = n-1."""
+    syndromes' top term i = n-1 with log v = n-1, in a word with a nonzero
+    data block, the parity block's top term i = n-k-1 with log v = n-1 in
+    a word with zero data, and a locator term of degree j = t with
+    log c = n-1."""
     n = (1 << m) - 1
     params = CodeParams(field=GF2m(m), n=n, k=k)
     f, t, n_parity = params.field, params.t, params.n_parity
-    assert len(rs._exp_run(params)) == n + max((n_parity - 1) * n_parity, t * n)
+    assert len(rs._exp_run(params)) == n * (n_parity + 1)
     rnd = random.Random(m)
     q = f.q
+
+    received = [rnd.randrange(q) for _ in range(n - 1)] + [alpha_pow(f, n - 1)]
+    synd = syndromes(params, received)
+    assert len(synd) == n_parity
+    assert synd == direct_syndromes(params, received)
 
     received = [rnd.randrange(q) for _ in range(n_parity - 1)]
     received += [alpha_pow(f, n - 1)] + [0] * k   # zero data: the remainder
@@ -920,14 +931,6 @@ def test_decode_miscorrection_rate_beyond_t_is_exact(weight, successes):
         assert count == successes, support
 
 
-def _wilson(successes, trials, z):
-    """The Wilson score interval of a binomial rate."""
-    rate, spread = successes / trials, z * z / trials
-    centre = (rate + spread / 2) / (1 + spread)
-    half = z / (1 + spread) * sqrt(rate * (1 - rate) / trials + spread / (4 * trials))
-    return centre - half, centre + half
-
-
 @pytest.mark.parametrize("m, k, excess, law", [
     (5, 27, 1, 0.3933), (5, 27, 2, 0.4278), (8, 251, 1, 0.4864), (8, 251, 2, 0.4903),
 ], ids=["rs31-t+1", "rs31-t+2", "rs255-t+1", "rs255-t+2"])
@@ -946,7 +949,7 @@ def test_decode_miscorrection_rate_matches_the_law(m, k, excess, law):
         for pos in rnd.sample(range(n), weight):
             received[pos] = rnd.randrange(1, q)
         successes += not decode(params, received).failure
-    low, high = _wilson(successes, trials, 3.2905)
+    low, high = wilson_interval(successes, trials, 3.2905)
     assert low <= exact <= high, successes
 
 

@@ -73,8 +73,14 @@ def test_budget_enforced(rs31):
 
 
 def test_extract_checks_key_as_embed_does(rs31):
-    """Positions outside [0, n), repeated or over budget raise in both."""
+    """Positions outside [0, n), repeated or over budget raise in both, and
+    so does a key that is not a ``StegoKey``."""
     word = encode(rs31, [0] * 19)
+    for key in [(1, 2), None, [3, 4], "12"]:
+        with pytest.raises(ValueError, match="key must be a StegoKey"):
+            embed(word, key, [3, 4])
+        with pytest.raises(ValueError, match="key must be a StegoKey"):
+            extract(word, key, rs31)
     bad_keys = [
         (StegoKey((-1,)), ValueError),
         (StegoKey((31,)), ValueError),
